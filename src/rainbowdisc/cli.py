@@ -12,7 +12,7 @@ import sys
 
 from . import __version__
 from .coloring import chromatic_index_exact
-from .connectivity import global_edge_connectivity, upper_edge_connectivity
+from .connectivity import gomory_hu
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, InvalidInputError
 from .generators import GRAPH_KINDS, gen_cnf, gen_graph
 from .graphs import (EdgeColoring, Graph, is_connected, parse_graph,
@@ -69,8 +69,9 @@ def _write_witness(args: argparse.Namespace, g: Graph, coloring: EdgeColoring) -
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args.graph_file, connected=True)
-    lam = global_edge_connectivity(g)
-    lam_plus = upper_edge_connectivity(g)
+    # lambda and lambda+ are the smallest and largest Gomory-Hu tree flows
+    flows = gomory_hu(g).flow[1:]
+    lam, lam_plus = min(flows), max(flows)
     delta = g.max_degree
     _emit(args,
           {"lambda": lam, "lambda_plus": lam_plus, "delta": delta,

@@ -42,6 +42,28 @@ def prism_graph() -> Graph:
     return Graph(6, tuple(edges))
 
 
+def flower_snark(k: int) -> Graph:
+    """Flower snark J_k for odd k >= 3: 4k vertices, cubic and class 2.
+
+    Block i holds the star center a_i = 4i and its leaves b_i, c_i, d_i =
+    4i+1, 4i+2, 4i+3. The b_i form a k-cycle, and c_0..c_{k-1} d_0..d_{k-1}
+    form one 2k-cycle. Edges are listed block by block (the star, then the
+    three edges to block i+1), so an edge-order search meets few open
+    edges at a time. J_3 has a triangle; J_k for k >= 5 is a snark.
+    """
+    if k < 3 or k % 2 == 0:
+        raise InvalidInputError("flower snark needs odd k >= 3")
+    edges = []
+    for i in range(k):
+        nxt = 4 * ((i + 1) % k)
+        last = i == k - 1  # the c/d cycle crosses over when it closes
+        edges += [(4 * i, 4 * i + 1), (4 * i, 4 * i + 2), (4 * i, 4 * i + 3),
+                  (4 * i + 1, nxt + 1),
+                  (4 * i + 2, nxt + (3 if last else 2)),
+                  (4 * i + 3, nxt + (2 if last else 3))]
+    return Graph(4 * k, tuple(edges))
+
+
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random attachment tree on n vertices."""
     if n < 1:

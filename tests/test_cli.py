@@ -6,7 +6,7 @@ import pytest
 
 from rainbowdisc import parse_graph, serialize_graph
 from rainbowdisc.cli import main
-from rainbowdisc.generators import complete_graph, petersen_graph
+from rainbowdisc.generators import complete_graph, cycle_graph, petersen_graph
 
 P3_TEXT = "p edge 3 2\ne 1 2\ne 2 3\n"
 C4_MONO = "p edge 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 1 1\n"
@@ -144,6 +144,14 @@ class TestChi:
         path = write(tmp_path, "petersen.graph", serialize_graph(petersen_graph()))
         assert main(["chi", "--budget", "1", path]) == 4
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, chi", [(2000, 2), (2001, 3)])
+    def test_long_cycles(self, tmp_path, capsys, n, chi):
+        path = write(tmp_path, f"c{n}.graph", serialize_graph(cycle_graph(n)))
+        assert main(["chi", path]) == 0
+        out = capsys.readouterr()
+        assert out.out == f"chi_prime={chi} class={chi - 1}\n"
+        assert out.err == ""
 
 
 class TestReduceSat:

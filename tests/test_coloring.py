@@ -8,8 +8,9 @@ from rainbowdisc import (BudgetExceededError, EdgeColoring, Graph,
                          InvalidInputError, chromatic_index_exact,
                          find_proper_k_coloring, is_proper,
                          proper_coloring_delta_plus_one)
-from rainbowdisc.generators import complete_graph, cycle_graph, petersen_graph
-from corpus import k33_graph, random_connected_graph
+from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark,
+                                    petersen_graph, random_cubic_graph)
+from corpus import cubic_3ec_corpus, k33_graph, random_connected_graph
 from oracles import (chromatic_index_enumeration_oracle, chromatic_index_oracle,
                      exists_proper_k_coloring_oracle)
 
@@ -125,8 +126,9 @@ class TestChromaticIndex:
             assert chromatic_index_exact(g).chi_prime == g.max_degree
 
     def test_determinism(self):
-        g = complete_graph(5)
-        assert chromatic_index_exact(g) == chromatic_index_exact(g)
+        # K5 is overfull; the random cubic graphs take the Kempe walk
+        for g in [complete_graph(5)] + [random_cubic_graph(100, s) for s in range(5)]:
+            assert chromatic_index_exact(g) == chromatic_index_exact(g)
 
     def test_budget_exceeded_raises(self):
         with pytest.raises(BudgetExceededError):
@@ -142,3 +144,41 @@ def test_find_proper_k_coloring_exhaustive_failure():
     found = find_proper_k_coloring(cycle_graph(6), 2)
     assert found is not None
     assert is_proper(cycle_graph(6), found)
+
+
+class TestWitnessFirst:
+    @pytest.mark.parametrize("n", [60, 100, 200, 300])
+    def test_random_cubic_class_one_without_search(self, n):
+        # a node budget of 1 would be exceeded by any exhaustive search
+        for seed in range(10):
+            g = random_cubic_graph(n, seed)
+            r = chromatic_index_exact(g, node_budget=1)
+            assert (r.chi_prime, r.vizing_class) == (3, 1)
+            assert r.witness.palette == 3
+            assert is_proper(g, r.witness)
+
+    def test_agrees_with_oracle_and_search_on_small_corpus(self):
+        rng = random.Random(127)
+        graphs = [g for _, g in cubic_3ec_corpus()]
+        graphs += [random_connected_graph(rng, rng.randint(2, 7)) for _ in range(40)]
+        for g in graphs:
+            r = chromatic_index_exact(g)
+            assert r.chi_prime == chromatic_index_oracle(g)
+            found = find_proper_k_coloring(g, g.max_degree)
+            assert r.vizing_class == (1 if found is not None else 2)
+            assert is_proper(g, r.witness)
+            assert r.witness.palette == r.chi_prime
+
+    def test_overfull_graphs_need_no_search(self):
+        # more than max_degree * floor(n/2) edges: class 2 with no node spent
+        for g in (cycle_graph(2001), complete_graph(5), complete_graph(7)):
+            r = chromatic_index_exact(g, node_budget=1)
+            assert (r.chi_prime, r.vizing_class) == (g.max_degree + 1, 2)
+            assert is_proper(g, r.witness)
+
+    @pytest.mark.parametrize("k", [3, 5, 7, 9])
+    def test_flower_snarks_proved_class_two(self, k):
+        g = flower_snark(k)
+        r = chromatic_index_exact(g)
+        assert (r.chi_prime, r.vizing_class) == (4, 2)
+        assert is_proper(g, r.witness)

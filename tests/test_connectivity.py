@@ -9,8 +9,8 @@ from rainbowdisc import (Graph, InvalidInputError, gomory_hu,
                          global_edge_connectivity, local_edge_connectivity,
                          upper_edge_connectivity)
 from rainbowdisc.generators import (complete_graph, cycle_graph, petersen_graph,
-                                    random_tree)
-from corpus import random_connected_graph
+                                    random_cubic_graph, random_tree)
+from corpus import cubic_3ec_corpus, cubic_not_3ec_graph, random_connected_graph
 from oracles import (global_min_cut_oracle, min_cut_value_oracle,
                      upper_connectivity_oracle)
 
@@ -124,6 +124,15 @@ class TestGomoryHu:
     def test_rejects_disconnected(self):
         with pytest.raises(InvalidInputError):
             gomory_hu(Graph(3, ((0, 1),)))
+
+    def test_min_flow_is_global_connectivity(self):
+        graphs = [g for _, g in cubic_3ec_corpus()]
+        graphs += [cubic_not_3ec_graph(), bridged_triangles()]
+        graphs += [random_cubic_graph(n, seed) for n in (12, 20, 40) for seed in range(5)]
+        rng = random.Random(43)
+        graphs += [random_connected_graph(rng, rng.randint(2, 8)) for _ in range(30)]
+        for g in graphs:
+            assert min(gomory_hu(g).flow[1:]) == global_edge_connectivity(g)
 
 
 class TestUpperConnectivity:

@@ -5,7 +5,7 @@ import pytest
 from rainbowdisc import (Graph, InvalidInputError, gen_cnf, gen_graph,
                          global_edge_connectivity, is_connected)
 from rainbowdisc.generators import (GRAPH_KINDS, complete_graph, cycle_graph,
-                                    petersen_graph, prism_graph,
+                                    flower_snark, petersen_graph, prism_graph,
                                     random_cubic_graph, random_tree)
 
 
@@ -36,6 +36,13 @@ class TestShapes:
             g = random_tree(9, seed)
             assert g.edge_count == g.vertex_count - 1
             assert is_connected(g)
+
+    def test_flower_snark(self):
+        for k in (3, 5, 7, 9):
+            g = flower_snark(k)
+            assert (g.vertex_count, g.edge_count) == (4 * k, 6 * k)
+            assert all(d == 3 for d in g.degrees)
+            assert global_edge_connectivity(g) == 3
 
     def test_random_cubic(self):
         for n in (4, 6, 8, 10):
@@ -86,6 +93,11 @@ class TestParameterErrors:
     def test_cycle_too_small(self):
         with pytest.raises(InvalidInputError):
             cycle_graph(2)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_flower_snark_needs_odd_k_at_least_3(self, k):
+        with pytest.raises(InvalidInputError, match="odd"):
+            flower_snark(k)
 
     def test_cubic_odd_n(self):
         with pytest.raises(InvalidInputError, match="even"):

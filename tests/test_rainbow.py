@@ -11,8 +11,8 @@ from rainbowdisc import (BudgetExceededError, CnfFormula, EdgeColoring, Graph,
                          is_proper, is_rainbow, is_rainbow_disconnected,
                          proper_coloring_delta_plus_one, rd_exact,
                          split_along_rainbow_cut, upper_edge_connectivity)
-from rainbowdisc.generators import (complete_graph, cycle_graph, petersen_graph,
-                                    prism_graph, random_tree)
+from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark,
+                                    petersen_graph, prism_graph, random_tree)
 from corpus import (cubic_3ec_corpus, cubic_not_3ec_graph, k33_graph,
                     random_coloring, random_connected_graph)
 from oracles import rainbow_cut_exists_oracle, rainbow_disconnected_oracle, rd_oracle
@@ -208,6 +208,12 @@ class TestCubicDecision:
         d = decide_rd_cubic(petersen_graph())
         assert d.rd_value == 4
         assert is_proper(petersen_graph(), d.witness)
+
+    def test_flower_snark_j5(self):
+        g = flower_snark(5)
+        d = decide_rd_cubic(g)
+        assert d.rd_value == 4
+        assert is_proper(g, d.witness)
 
     def test_matches_rd_exact_on_corpus(self):
         for _, g in cubic_3ec_corpus(random_count=3):
