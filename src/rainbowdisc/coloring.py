@@ -6,8 +6,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, InvalidInputError
-from .graphs import EdgeColoring, Graph
+from .errors import DEFAULT_NODE_BUDGET, InvalidInputError, NodeBudget
+from .graphs import EdgeColoring, Graph, components
 
 
 def is_proper(g: Graph, c: EdgeColoring) -> bool:
@@ -140,10 +140,9 @@ def find_proper_k_coloring(g: Graph, k: int,
                    key=lambda e: (-max(degs[g.edges[e][0]], degs[g.edges[e][1]]), e))
     vmask = [0] * g.vertex_count
     assigned = [-1] * m
-    nodes = 0
+    budget = NodeBudget(node_budget, "proper edge coloring search")
 
     def dfs(i: int) -> bool:
-        nonlocal nodes
         if i == m:
             return True
         eid = order[i]
@@ -153,9 +152,7 @@ def find_proper_k_coloring(g: Graph, k: int,
             bit = 1 << col
             if forbidden & bit:
                 continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError("proper edge coloring search", node_budget)
+            budget.spend()
             vmask[u] |= bit
             vmask[v] |= bit
             assigned[eid] = col
@@ -279,6 +276,14 @@ def _kempe_walk_delta_coloring(g: Graph, start: EdgeColoring) -> EdgeColoring | 
     return witness if is_proper(g, witness) else None
 
 
+def _has_overfull_component(g: Graph, delta: int) -> bool:
+    """True iff some component has more edges than delta matchings of its
+    vertices can hold."""
+    degs = g.degrees
+    return any(sum(degs[v] for v in comp) // 2 > delta * (len(comp) // 2)
+               for comp in components(g))
+
+
 @dataclass(frozen=True)
 class ChromaticIndexResult:
     """Exact chromatic index with a witness coloring using that many colors."""
@@ -294,20 +299,22 @@ def chromatic_index_exact(g: Graph,
     colors exists (class 1), else max_degree + 1 (class 2, witnessed by the
     constructive coloring).
 
-    Witness first, exhaustive search last. An overfull graph, with more than
-    max_degree * floor(n/2) edges, is class 2 outright, since every color
-    class is a matching. Otherwise a Kempe-chain walk from the Delta+1
-    coloring looks for a class-1 witness within a fixed bound of 40m steps
-    (_kempe_walk_delta_coloring), spending no node of the budget. Only if it
-    fails does find_proper_k_coloring search exhaustively, with the full
-    node_budget, to find a witness or prove class 2.
+    Witness first, exhaustive search last. A graph with an overfull
+    component, one whose m_i edges exceed max_degree * floor(n_i/2) for its
+    n_i vertices, is class 2 outright, since every color class is a
+    matching; an overfull graph always has one. Otherwise a Kempe-chain walk
+    from the Delta+1 coloring looks for a class-1 witness within a fixed
+    bound of 40m steps (_kempe_walk_delta_coloring), spending no node of the
+    budget. Only if it fails does find_proper_k_coloring search
+    exhaustively, with the full node_budget, to find a witness or prove
+    class 2.
     """
     m = g.edge_count
     if m == 0:
         raise InvalidInputError("graph has no edges")
     delta = g.max_degree
     start = proper_coloring_delta_plus_one(g)
-    if m > delta * (g.vertex_count // 2):
+    if _has_overfull_component(g, delta):
         return ChromaticIndexResult(delta + 1, start, 2)
     witness = (_kempe_walk_delta_coloring(g, start)
                or find_proper_k_coloring(g, delta, node_budget))

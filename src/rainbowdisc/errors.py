@@ -22,3 +22,21 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"{operation}: node budget of {budget} exceeded")
         self.operation = operation
         self.budget = budget
+
+
+class NodeBudget:
+    """Node counter shared by the exact searches: each expanded node is
+    spent, and the first node past ``total`` raises BudgetExceededError
+    naming ``operation``."""
+
+    __slots__ = ("remaining", "total", "operation")
+
+    def __init__(self, total: int, operation: str):
+        self.remaining = total
+        self.total = total
+        self.operation = operation
+
+    def spend(self, amount: int = 1) -> None:
+        self.remaining -= amount
+        if self.remaining < 0:
+            raise BudgetExceededError(self.operation, self.total)

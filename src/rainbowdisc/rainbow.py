@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 from .coloring import chromatic_index_exact, is_proper, proper_coloring_delta_plus_one
 from .connectivity import global_edge_connectivity, upper_edge_connectivity
-from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, InvalidInputError
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, InvalidInputError, NodeBudget
 from .graphs import (CutCertificate, EdgeColoring, Graph, certificate_from_side,
                      components, is_connected, is_rainbow, reachable_from)
-
-DEFAULT_SMALL_PALETTE = 6
 
 
 def _check_colored(g: Graph, c: EdgeColoring) -> None:
@@ -34,24 +32,19 @@ def _check_pair(g: Graph, s: int, t: int) -> None:
     g.check_vertex(t)
     if s == t:
         raise InvalidInputError("s and t must differ")
+
+
+def _check_connected(g: Graph) -> None:
     if not is_connected(g):
         raise InvalidInputError("graph must be connected")
 
 
-class _Budget:
-    """Decrementing node counter; raises once exhausted."""
-
-    __slots__ = ("remaining", "total", "label")
-
-    def __init__(self, total: int, label: str):
-        self.remaining = total
-        self.total = total
-        self.label = label
-
-    def spend(self, amount: int = 1) -> None:
-        self.remaining -= amount
-        if self.remaining < 0:
-            raise BudgetExceededError(self.label, self.total)
+def _dense_colors(c: EdgeColoring) -> tuple[list[int], int]:
+    """The coloring relabeled to ids 0..d-1 (ascending by original id), and
+    d, the number of distinct colors. Only equality of colors matters to the
+    cut search, so its color counters need d slots, not c.palette."""
+    ids = {col: i for i, col in enumerate(sorted(set(c.colors)))}
+    return [ids[col] for col in c.colors], len(ids)
 
 
 def find_rainbow_cut_fixed_k(g: Graph, c: EdgeColoring, s: int, t: int,
@@ -65,6 +58,7 @@ def find_rainbow_cut_fixed_k(g: Graph, c: EdgeColoring, s: int, t: int,
     """
     _check_colored(g, c)
     _check_pair(g, s, t)
+    _check_connected(g)
     if k < 1:
         raise InvalidInputError("k must be positive")
     if c.color_count > k:
@@ -100,11 +94,19 @@ def find_rainbow_cut_exact(g: Graph, c: EdgeColoring, s: int, t: int,
     """
     _check_colored(g, c)
     _check_pair(g, s, t)
+    _check_connected(g)
+    dense, distinct = _dense_colors(c)
+    return _rainbow_cut(g, c, dense, distinct, s, t, node_budget)
+
+
+def _rainbow_cut(g: Graph, c: EdgeColoring, dense: list[int], distinct: int,
+                 s: int, t: int, node_budget: int) -> CutCertificate | None:
+    """The bipartition search behind find_rainbow_cut_exact, on inputs the
+    caller has validated; ``dense`` and ``distinct`` come from _dense_colors(c)."""
     n = g.vertex_count
-    budget = _Budget(node_budget, "rainbow cut search")
+    budget = NodeBudget(node_budget, "rainbow cut search")
     side = [-1] * n
-    counts = [0] * max(c.palette, 1)
-    colors = c.colors
+    counts = [0] * distinct
     adjacency = g.adjacency
     collisions = 0
 
@@ -113,7 +115,7 @@ def find_rainbow_cut_exact(g: Graph, c: EdgeColoring, s: int, t: int,
         bumped: list[int] = []
         for eid, w in adjacency[v]:
             if side[w] == 1 - x:
-                col = colors[eid]
+                col = dense[eid]
                 counts[col] += 1
                 if counts[col] == 2:
                     collisions += 1
@@ -170,34 +172,30 @@ class RainbowDisconnectionCheck:
 
 
 def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
-                            small_palette_threshold: int = DEFAULT_SMALL_PALETTE,
                             node_budget: int = DEFAULT_NODE_BUDGET) -> RainbowDisconnectionCheck:
     """Check that every vertex pair has a rainbow cut under c.
 
-    Pairs are visited in lexicographic order and the first failure is
-    reported. Colorings with few distinct colors use the per-class
-    enumeration; larger palettes use the bipartition search.
+    g and c are validated once; then each pair runs the bipartition search
+    of find_rainbow_cut_exact, whatever the palette size, with node_budget
+    applying to each pair's search on its own. Pairs are visited in
+    lexicographic order and the first failure is reported.
     """
     _check_colored(g, c)
     if g.vertex_count < 2:
         raise InvalidInputError("graph must have at least two vertices")
-    if not is_connected(g):
-        raise InvalidInputError("graph must be connected")
-    distinct = c.color_count
+    _check_connected(g)
+    dense, distinct = _dense_colors(c)
     certificates: dict[tuple[int, int], CutCertificate] = {}
     for s in range(g.vertex_count):
         for t in range(s + 1, g.vertex_count):
-            if distinct <= small_palette_threshold:
-                cert = find_rainbow_cut_fixed_k(g, c, s, t, distinct)
-            else:
-                cert = find_rainbow_cut_exact(g, c, s, t, node_budget)
+            cert = _rainbow_cut(g, c, dense, distinct, s, t, node_budget)
             if cert is None:
                 return RainbowDisconnectionCheck(False, certificates, (s, t))
             certificates[(s, t)] = cert
     return RainbowDisconnectionCheck(True, certificates, None)
 
 
-def _search_disconnection_coloring(g: Graph, k: int, budget: _Budget) -> EdgeColoring | None:
+def _search_disconnection_coloring(g: Graph, k: int, budget: NodeBudget) -> EdgeColoring | None:
     """Exhaustive search for a k-color rainbow disconnection coloring.
 
     Only vertex bipartitions with at most k crossing edges can ever yield a
@@ -295,11 +293,10 @@ def rd_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> RdResult:
     """
     if g.vertex_count < 2:
         raise InvalidInputError("graph must have at least two vertices")
-    if not is_connected(g):
-        raise InvalidInputError("graph must be connected")
+    _check_connected(g)
     lo = upper_edge_connectivity(g)
     hi = g.max_degree + 1
-    budget = _Budget(node_budget, "rainbow disconnection number search")
+    budget = NodeBudget(node_budget, "rainbow disconnection number search")
     value, witness = hi, None
     for k in range(lo, hi):
         found = _search_disconnection_coloring(g, k, budget)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rainbowdisc import parse_graph, serialize_graph
+from rainbowdisc import Graph, parse_graph, serialize_graph
 from rainbowdisc.cli import main
 from rainbowdisc.generators import complete_graph, cycle_graph, petersen_graph
 
@@ -145,9 +145,11 @@ class TestChi:
         assert main(["chi", "--budget", "1", path]) == 4
         assert "budget" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n, chi", [(2000, 2), (2001, 3)])
-    def test_long_cycles(self, tmp_path, capsys, n, chi):
-        path = write(tmp_path, f"c{n}.graph", serialize_graph(cycle_graph(n)))
+    @pytest.mark.parametrize("n, isolated, chi", [(2000, 0, 2), (2001, 0, 3), (2001, 1, 3)],
+                             ids=["2000-2", "2001-3", "2001+isolated-3"])
+    def test_long_cycles(self, tmp_path, capsys, n, isolated, chi):
+        g = Graph(n + isolated, cycle_graph(n).edges)
+        path = write(tmp_path, f"c{n}.graph", serialize_graph(g))
         assert main(["chi", path]) == 0
         out = capsys.readouterr()
         assert out.out == f"chi_prime={chi} class={chi - 1}\n"

@@ -170,8 +170,12 @@ class TestWitnessFirst:
             assert r.witness.palette == r.chi_prime
 
     def test_overfull_graphs_need_no_search(self):
-        # more than max_degree * floor(n/2) edges: class 2 with no node spent
-        for g in (cycle_graph(2001), complete_graph(5), complete_graph(7)):
+        # a component with more than max_degree * floor(n_i/2) edges: class 2
+        # with no node spent, also when the whole graph is not overfull
+        c5_and_vertex = Graph(6, cycle_graph(5).edges)
+        k5_and_edge = Graph(7, complete_graph(5).edges + ((5, 6),))
+        for g in (cycle_graph(2001), complete_graph(5), complete_graph(7),
+                  c5_and_vertex, k5_and_edge):
             r = chromatic_index_exact(g, node_budget=1)
             assert (r.chi_prime, r.vizing_class) == (g.max_degree + 1, 2)
             assert is_proper(g, r.witness)

@@ -1,18 +1,22 @@
 """Rainbow cut search, disconnection checks, rd computation, splitting."""
 
 import random
+import tracemalloc
 
 import pytest
+
+import rainbowdisc.rainbow as rainbow_module
 
 from rainbowdisc import (BudgetExceededError, CnfFormula, EdgeColoring, Graph,
                          InvalidInputError, build_reduction, certify_rd3_coloring_proper,
                          chromatic_index_exact, decide_rd_cubic,
                          find_rainbow_cut_exact, find_rainbow_cut_fixed_k,
-                         is_proper, is_rainbow, is_rainbow_disconnected,
+                         is_connected, is_proper, is_rainbow, is_rainbow_disconnected,
                          proper_coloring_delta_plus_one, rd_exact,
                          split_along_rainbow_cut, upper_edge_connectivity)
 from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark,
-                                    petersen_graph, prism_graph, random_tree)
+                                    petersen_graph, prism_graph, random_cubic_graph,
+                                    random_tree)
 from corpus import (cubic_3ec_corpus, cubic_not_3ec_graph, k33_graph,
                     random_coloring, random_connected_graph)
 from oracles import rainbow_cut_exists_oracle, rainbow_disconnected_oracle, rd_oracle
@@ -133,14 +137,59 @@ class TestDisconnectionCheck:
             assert got.ok == rainbow_disconnected_oracle(g, c)
 
     def test_exact_path_matches_fixed_k_path(self):
+        # the per-class enumeration is the reference: it and the bipartition
+        # search agree on every pair, and the check fails at the first pair
+        # where the enumeration finds no cut
         rng = random.Random(19)
         for _ in range(30):
             g = random_connected_graph(rng, rng.randint(2, 5))
             c = random_coloring(rng, g.edge_count, 3)
-            a = is_rainbow_disconnected(g, c, small_palette_threshold=6)
-            b = is_rainbow_disconnected(g, c, small_palette_threshold=0)
-            assert a.ok == b.ok
-            assert a.failing_pair == b.failing_pair
+            uncut = []
+            exact_certs = {}
+            for s in range(g.vertex_count):
+                for t in range(s + 1, g.vertex_count):
+                    via_fixed = find_rainbow_cut_fixed_k(g, c, s, t, c.color_count)
+                    via_exact = find_rainbow_cut_exact(g, c, s, t)
+                    assert (via_fixed is None) == (via_exact is None)
+                    if via_fixed is None:
+                        uncut.append((s, t))
+                    elif not uncut:
+                        exact_certs[(s, t)] = via_exact
+            check = is_rainbow_disconnected(g, c)
+            assert check.ok == (not uncut)
+            assert check.failing_pair == (uncut[0] if uncut else None)
+            assert check.certificates == exact_certs
+
+    def test_validates_connectivity_once(self, monkeypatch):
+        calls = []
+
+        def counting_is_connected(g):
+            calls.append(g)
+            return is_connected(g)
+
+        monkeypatch.setattr(rainbow_module, "is_connected", counting_is_connected)
+        assert is_rainbow_disconnected(prism_graph(), PRISM_PROPER).ok
+        assert len(calls) == 1
+
+    def test_huge_color_ids_match_dense_ids(self):
+        # only color equality matters, so ids {0, 1, 10**7} give the verdict,
+        # failing pair and certificates of ids {0, 1, 2}, in memory bounded
+        # by the graph rather than by the largest id
+        g = random_cubic_graph(12, 0)
+        proper = chromatic_index_exact(g).witness
+        assert proper.palette == 3
+        for c in (proper, random_coloring(random.Random(31), g.edge_count, 3)):
+            huge = EdgeColoring(tuple(10**7 if col == 2 else col for col in c.colors))
+            tracemalloc.start()
+            try:
+                got = is_rainbow_disconnected(g, huge)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            want = is_rainbow_disconnected(g, c)
+            assert (got.ok, got.failing_pair) == (want.ok, want.failing_pair)
+            assert got.certificates == want.certificates
+            assert peak < 5 * 2**20
 
     def test_disconnected_graph_rejected(self):
         g = Graph(3, ((0, 1),))
