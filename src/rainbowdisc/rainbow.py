@@ -12,6 +12,7 @@ max-degree endpoint of each pair is a rainbow cut).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -32,9 +33,6 @@ def _check_pair(g: Graph, s: int, t: int) -> None:
     g.check_vertex(t)
     if s == t:
         raise InvalidInputError("s and t must differ")
-
-
-def _check_connected(g: Graph) -> None:
     if not is_connected(g):
         raise InvalidInputError("graph must be connected")
 
@@ -58,7 +56,6 @@ def find_rainbow_cut_fixed_k(g: Graph, c: EdgeColoring, s: int, t: int,
     """
     _check_colored(g, c)
     _check_pair(g, s, t)
-    _check_connected(g)
     if k < 1:
         raise InvalidInputError("k must be positive")
     if c.color_count > k:
@@ -91,10 +88,15 @@ def find_rainbow_cut_exact(g: Graph, c: EdgeColoring, s: int, t: int,
     t's side), tracking color multiplicities among crossing edges and
     pruning as soon as any color repeats. Complete because the boundary of
     the s side of any rainbow cut is itself a rainbow s-t cut.
+
+    The next vertex placed is the lowest id next to a placed one, so the
+    crossing edges among placed vertices fix their sides. Every live node
+    at a given depth thus has its own rainbow edge set, and the search
+    spends at most 2n * prod(|color class| + 1) nodes: polynomial for a
+    fixed number of colors, like find_rainbow_cut_fixed_k.
     """
     _check_colored(g, c)
     _check_pair(g, s, t)
-    _check_connected(g)
     dense, distinct = _dense_colors(c)
     return _rainbow_cut(g, c, dense, distinct, s, t, node_budget)
 
@@ -133,7 +135,24 @@ def _rainbow_cut(g: Graph, c: EdgeColoring, dense: list[int], distinct: int,
 
     place(s, 0)
     place(t, 1)
-    order = [v for v in range(n) if v != s and v != t]
+    # the graph is connected, so the frontier walk reaches every vertex
+    seen = [False] * n
+    seen[s] = seen[t] = True
+    frontier: list[int] = []
+
+    def reach(u: int) -> None:
+        for _, w in adjacency[u]:
+            if not seen[w]:
+                seen[w] = True
+                heapq.heappush(frontier, w)
+
+    reach(s)
+    reach(t)
+    order: list[int] = []
+    while frontier:
+        v = heapq.heappop(frontier)
+        order.append(v)
+        reach(v)
 
     def dfs(i: int) -> frozenset[int] | None:
         if i == len(order):
@@ -176,14 +195,16 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
     """Check that every vertex pair has a rainbow cut under c.
 
     g and c are validated once; then each pair runs the bipartition search
-    of find_rainbow_cut_exact, whatever the palette size, with node_budget
-    applying to each pair's search on its own. Pairs are visited in
-    lexicographic order and the first failure is reported.
+    of find_rainbow_cut_exact, whatever the palette size (polynomial for a
+    fixed number of colors), with node_budget applying to each pair's
+    search on its own. Pairs are visited in lexicographic order and the
+    first failure is reported.
     """
     _check_colored(g, c)
     if g.vertex_count < 2:
         raise InvalidInputError("graph must have at least two vertices")
-    _check_connected(g)
+    if not is_connected(g):
+        raise InvalidInputError("graph must be connected")
     dense, distinct = _dense_colors(c)
     certificates: dict[tuple[int, int], CutCertificate] = {}
     for s in range(g.vertex_count):
@@ -293,7 +314,8 @@ def rd_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> RdResult:
     """
     if g.vertex_count < 2:
         raise InvalidInputError("graph must have at least two vertices")
-    _check_connected(g)
+    if not is_connected(g):
+        raise InvalidInputError("graph must be connected")
     lo = upper_edge_connectivity(g)
     hi = g.max_degree + 1
     budget = NodeBudget(node_budget, "rainbow disconnection number search")

@@ -58,3 +58,15 @@ def cubic_not_3ec_graph() -> Graph:
     block = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
     edges = block + [(u + 4, v + 4) for u, v in block] + [(2, 6), (3, 7)]
     return Graph(8, tuple(edges))
+
+
+def two_hub_graph(k: int) -> Graph:
+    """Edge 0-1, edges 0-h1 and 1-h2, and k vertices 2..k+1 each joined to
+    both hubs h1 = k+2 and h2 = k+3. One color leaves 0 and 1 without a
+    rainbow cut; a cut search placing vertices by id alone branches on all
+    k middle vertices before reaching a hub."""
+    h1, h2 = k + 2, k + 3
+    edges = [(0, 1), (0, h1), (1, h2)]
+    for v in range(2, k + 2):
+        edges += [(v, h1), (v, h2)]
+    return Graph(k + 4, tuple(edges))

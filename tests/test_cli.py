@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from rainbowdisc import Graph, parse_graph, serialize_graph
+from rainbowdisc import EdgeColoring, Graph, parse_graph, serialize_graph
 from rainbowdisc.cli import main
 from rainbowdisc.generators import complete_graph, cycle_graph, petersen_graph
+from corpus import two_hub_graph
 
 P3_TEXT = "p edge 3 2\ne 1 2\ne 2 3\n"
 C4_MONO = "p edge 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 1 1\n"
@@ -110,6 +111,12 @@ class TestRdCheck:
     def test_false_reports_pair(self, tmp_path, capsys):
         path = write(tmp_path, "c4.graph", C4_MONO)
         assert main(["rd-check", path]) == 1
+        assert capsys.readouterr().out == "not rainbow disconnected: failing pair 1 2\n"
+
+    def test_single_color_two_hub_graph_within_small_budget(self, tmp_path, capsys):
+        g = two_hub_graph(16)
+        path = write(tmp_path, "hubs.graph", serialize_graph(g, EdgeColoring((0,) * g.edge_count)))
+        assert main(["rd-check", path, "--budget", "100000"]) == 1
         assert capsys.readouterr().out == "not rainbow disconnected: failing pair 1 2\n"
 
     def test_uncolored_input_rejected(self, p3_file, capsys):

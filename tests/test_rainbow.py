@@ -18,7 +18,7 @@ from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark,
                                     petersen_graph, prism_graph, random_cubic_graph,
                                     random_tree)
 from corpus import (cubic_3ec_corpus, cubic_not_3ec_graph, k33_graph,
-                    random_coloring, random_connected_graph)
+                    random_coloring, random_connected_graph, two_hub_graph)
 from oracles import rainbow_cut_exists_oracle, rainbow_disconnected_oracle, rd_oracle
 
 
@@ -106,6 +106,26 @@ class TestExact:
             expected = rainbow_cut_exists_oracle(g, c, s, t)
             assert (via_exact is not None) == expected
             assert (via_fixed is not None) == expected
+
+    def test_few_colors_stay_within_class_product(self):
+        # each placed vertex has a placed neighbour, so live nodes at a depth
+        # are distinct rainbow edge sets: at most 2n * prod(|class| + 1) nodes;
+        # placing by id alone spends about 2^40 on the two-hub graph
+        rng = random.Random(23)
+        cases = [(two_hub_graph(40), 0, 1, 1)]
+        for _ in range(60):
+            g = random_connected_graph(rng, rng.randint(2, 12), max_extra=14)
+            s = rng.randrange(g.vertex_count)
+            t = rng.choice([v for v in range(g.vertex_count) if v != s])
+            cases.append((g, s, t, rng.randint(1, 3)))
+        for g, s, t, palette in cases:
+            c = random_coloring(rng, g.edge_count, palette)
+            bound = 2 * g.vertex_count
+            for col in set(c.colors):
+                bound *= c.colors.count(col) + 1
+            via_exact = find_rainbow_cut_exact(g, c, s, t, node_budget=bound)
+            via_fixed = find_rainbow_cut_fixed_k(g, c, s, t, c.color_count)
+            assert (via_exact is None) == (via_fixed is None)
 
 
 class TestDisconnectionCheck:
