@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .connectivity import bridges
 from .errors import DEFAULT_NODE_BUDGET, InvalidInputError, NodeBudget
 from .graphs import EdgeColoring, Graph, components
 
@@ -190,7 +191,9 @@ def _kempe_walk_delta_coloring(g: Graph, start: EdgeColoring) -> EdgeColoring | 
 
     The walk gives up after _WALK_STEPS_PER_EDGE * m = 40m steps and returns
     None, so on a class-2 graph it always runs them all, and a step walks
-    Kempe chains of up to n edges. It expands no node of any search budget.
+    Kempe chains of up to n edges; _delta_coloring skips it on the class-2
+    graphs that _provably_class_two recognizes. It expands no node of any
+    search budget.
     A returned coloring has passed is_proper. Deterministic: the random
     steps draw from random.Random(_WALK_SEED).
     """
@@ -276,12 +279,42 @@ def _kempe_walk_delta_coloring(g: Graph, start: EdgeColoring) -> EdgeColoring | 
     return witness if is_proper(g, witness) else None
 
 
-def _has_overfull_component(g: Graph, delta: int) -> bool:
-    """True iff some component has more edges than delta matchings of its
-    vertices can hold."""
+def _provably_class_two(g: Graph, delta: int) -> bool:
+    """True iff some component rules out a proper delta-coloring by its
+    shape alone: it is overfull, with more edges than delta matchings of its
+    vertices can hold, or it is delta-regular with delta >= 2 and has a
+    bridge. By the parity lemma, a proper delta-coloring of a delta-regular
+    graph puts every color on each edge cut an odd number of times if the
+    cut has odd size, so a one-edge cut would need delta <= 1."""
     degs = g.degrees
-    return any(sum(degs[v] for v in comp) // 2 > delta * (len(comp) // 2)
-               for comp in components(g))
+    bridged = {v for eid in bridges(g) for v in g.edges[eid]}
+    for comp in components(g):
+        if sum(degs[v] for v in comp) // 2 > delta * (len(comp) // 2):
+            return True
+        if (delta >= 2 and all(degs[v] == delta for v in comp)
+                and not bridged.isdisjoint(comp)):
+            return True
+    return False
+
+
+def _delta_coloring(g: Graph, start: EdgeColoring,
+                    node_budget: int | None = None) -> EdgeColoring | None:
+    """A proper max_degree-coloring of g, witness first, or None.
+
+    None at once when _provably_class_two rules one out. Otherwise the
+    Kempe walk from ``start``, the Delta+1 coloring built by
+    proper_coloring_delta_plus_one, looks for one without spending any
+    node. Only if it fails, and only when a node_budget is given, does
+    find_proper_k_coloring search exhaustively with it; None then proves
+    class 2, while without a budget it only says the walk gave up.
+    """
+    delta = g.max_degree
+    if _provably_class_two(g, delta):
+        return None
+    witness = _kempe_walk_delta_coloring(g, start)
+    if witness is None and node_budget is not None:
+        witness = find_proper_k_coloring(g, delta, node_budget)
+    return witness
 
 
 @dataclass(frozen=True)
@@ -299,25 +332,23 @@ def chromatic_index_exact(g: Graph,
     colors exists (class 1), else max_degree + 1 (class 2, witnessed by the
     constructive coloring).
 
-    Witness first, exhaustive search last. A graph with an overfull
-    component, one whose m_i edges exceed max_degree * floor(n_i/2) for its
-    n_i vertices, is class 2 outright, since every color class is a
-    matching; an overfull graph always has one. Otherwise a Kempe-chain walk
-    from the Delta+1 coloring looks for a class-1 witness within a fixed
-    bound of 40m steps (_kempe_walk_delta_coloring), spending no node of the
-    budget. Only if it fails does find_proper_k_coloring search
-    exhaustively, with the full node_budget, to find a witness or prove
-    class 2.
+    Witness first, exhaustive search last (_delta_coloring). A graph with
+    an overfull component, one whose m_i edges exceed max_degree *
+    floor(n_i/2) for its n_i vertices, is class 2 outright, since every
+    color class is a matching; an overfull graph always has one. So is a
+    graph with a max_degree-regular component that has a bridge (parity
+    lemma). Otherwise a Kempe-chain walk from the Delta+1 coloring looks for
+    a class-1 witness within a fixed bound of 40m steps
+    (_kempe_walk_delta_coloring), spending no node of the budget. Only if it
+    fails does find_proper_k_coloring search exhaustively, with the full
+    node_budget, to find a witness or prove class 2.
     """
     m = g.edge_count
     if m == 0:
         raise InvalidInputError("graph has no edges")
     delta = g.max_degree
     start = proper_coloring_delta_plus_one(g)
-    if _has_overfull_component(g, delta):
-        return ChromaticIndexResult(delta + 1, start, 2)
-    witness = (_kempe_walk_delta_coloring(g, start)
-               or find_proper_k_coloring(g, delta, node_budget))
+    witness = _delta_coloring(g, start, node_budget)
     if witness is not None:
         return ChromaticIndexResult(delta, witness, 1)
     return ChromaticIndexResult(delta + 1, start, 2)

@@ -81,6 +81,46 @@ def global_edge_connectivity(g: Graph) -> int:
     return min(_max_flow(g, 0, t)[0] for t in range(1, g.vertex_count))
 
 
+def bridges(g: Graph) -> frozenset[int]:
+    """Edge ids of the bridges of g, the edges on no cycle.
+
+    Tarjan's low-link test, with an explicit stack of adjacency iterators
+    so that a long path needs no recursion. A tree edge (p, v) is a bridge
+    when nothing below v reaches p or above by a back edge: low[v] > disc[p].
+    """
+    n = g.vertex_count
+    disc = [-1] * n
+    low = [0] * n
+    clock = 0
+    found: list[int] = []
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        # (vertex, edge id it was entered by, its remaining adjacency)
+        stack = [(root, -1, iter(g.adjacency[root]))]
+        while stack:
+            v, via, rest = stack[-1]
+            for eid, w in rest:
+                if eid == via:
+                    continue
+                if disc[w] == -1:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, eid, iter(g.adjacency[w])))
+                    break
+                low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[v])
+                    if low[v] > disc[p]:
+                        found.append(via)
+    return frozenset(found)
+
+
 @dataclass(frozen=True)
 class GomoryHuTree:
     """Flow-equivalent tree: the minimum flow value on the unique s-t tree

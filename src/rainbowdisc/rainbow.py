@@ -16,7 +16,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .coloring import chromatic_index_exact, is_proper, proper_coloring_delta_plus_one
+from .coloring import (_delta_coloring, chromatic_index_exact, is_proper,
+                       proper_coloring_delta_plus_one)
 from .connectivity import global_edge_connectivity, upper_edge_connectivity
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, InvalidInputError, NodeBudget
 from .graphs import (CutCertificate, EdgeColoring, Graph, certificate_from_side,
@@ -106,35 +107,17 @@ def _rainbow_cut(g: Graph, c: EdgeColoring, dense: list[int], distinct: int,
     """The bipartition search behind find_rainbow_cut_exact, on inputs the
     caller has validated; ``dense`` and ``distinct`` come from _dense_colors(c)."""
     n = g.vertex_count
-    budget = NodeBudget(node_budget, "rainbow cut search")
+    spend = NodeBudget(node_budget, "rainbow cut search").spend
     side = [-1] * n
+    # counts[col]: crossing edges of color col between placed vertices;
+    # every kept placement leaves each count at most 1
     counts = [0] * distinct
     adjacency = g.adjacency
-    collisions = 0
-
-    def place(v: int, x: int) -> list[int]:
-        nonlocal collisions
-        bumped: list[int] = []
-        for eid, w in adjacency[v]:
-            if side[w] == 1 - x:
-                col = dense[eid]
-                counts[col] += 1
-                if counts[col] == 2:
-                    collisions += 1
-                bumped.append(col)
-        side[v] = x
-        return bumped
-
-    def unplace(v: int, bumped: list[int]) -> None:
-        nonlocal collisions
-        side[v] = -1
-        for col in bumped:
-            if counts[col] == 2:
-                collisions -= 1
-            counts[col] -= 1
-
-    place(s, 0)
-    place(t, 1)
+    side[s] = 0
+    side[t] = 1
+    for eid, w in adjacency[t]:
+        if w == s:
+            counts[dense[eid]] = 1
     # the graph is connected, so the frontier walk reaches every vertex
     seen = [False] * n
     seen[s] = seen[t] = True
@@ -154,25 +137,45 @@ def _rainbow_cut(g: Graph, c: EdgeColoring, dense: list[int], distinct: int,
         order.append(v)
         reach(v)
 
-    def dfs(i: int) -> frozenset[int] | None:
-        if i == len(order):
-            return frozenset(v for v in range(n) if side[v] == 0)
+    # Depth first: order[i] goes to side x = 0, then 1, and is kept when no
+    # crossing color repeats. The stack of (side, colors bumped) per kept
+    # vertex is a list, so the depth is not bound by the recursion limit.
+    kept: list[tuple[int, list[int]]] = []
+    i = x = 0
+    while i < len(order):
+        if x == 2:
+            if not kept:
+                return None
+            i -= 1
+            x, bumped = kept.pop()
+            side[order[i]] = -1
+            for col in bumped:
+                counts[col] -= 1
+            x += 1
+            continue
+        spend()
         v = order[i]
-        for x in (0, 1):
-            budget.spend()
-            bumped = place(v, x)
-            result = dfs(i + 1) if collisions == 0 else None
-            unplace(v, bumped)
-            if result is not None:
-                return result
-        return None
-
-    if collisions:
-        return None
-    found = dfs(0)
-    if found is None:
-        return None
-    cert = certificate_from_side(g, found)
+        other = 1 - x
+        bumped = []
+        repeat = False
+        for eid, w in adjacency[v]:
+            if side[w] == other:
+                col = dense[eid]
+                counts[col] += 1
+                bumped.append(col)
+                if counts[col] == 2:
+                    repeat = True
+                    break
+        if repeat:
+            for col in bumped:
+                counts[col] -= 1
+            x += 1
+        else:
+            side[v] = x
+            kept.append((x, bumped))
+            i += 1
+            x = 0
+    cert = certificate_from_side(g, frozenset(v for v in range(n) if side[v] == 0))
     if not is_rainbow(c, cert.cut_edges):
         raise RuntimeError("search returned a non-rainbow cut")
     return cert
@@ -309,24 +312,31 @@ def rd_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> RdResult:
     k starts at the largest pairwise edge connectivity (a lower bound: some
     pair needs that many cut edges, all distinctly colored) and ends at
     max_degree + 1, where the constructive proper coloring always works, so
-    no search is needed at the top level. Intended for small graphs; the
-    search is exhaustive per level.
+    no search is needed at the top level. Levels below max_degree are
+    searched exhaustively. Level max_degree is witness first: a proper
+    max_degree-coloring rainbow-disconnects the graph (every vertex star is
+    a rainbow cut), so when the shape rules of chromatic_index_exact leave
+    class 1 open and its Kempe walk finds one, that coloring is the witness
+    and the level is not searched; else the level is searched as the others.
+    The search is exhaustive per level and meant for small graphs; node
+    counts grow as 2^(n-1) per searched level.
     """
     if g.vertex_count < 2:
         raise InvalidInputError("graph must have at least two vertices")
     if not is_connected(g):
         raise InvalidInputError("graph must be connected")
     lo = upper_edge_connectivity(g)
-    hi = g.max_degree + 1
+    delta = g.max_degree
+    start = proper_coloring_delta_plus_one(g)
     budget = NodeBudget(node_budget, "rainbow disconnection number search")
-    value, witness = hi, None
-    for k in range(lo, hi):
-        found = _search_disconnection_coloring(g, k, budget)
+    value, witness = delta + 1, start
+    for k in range(lo, delta + 1):
+        found = _delta_coloring(g, start) if k == delta else None
+        if found is None:
+            found = _search_disconnection_coloring(g, k, budget)
         if found is not None:
             value, witness = k, found
             break
-    if witness is None:
-        witness = proper_coloring_delta_plus_one(g)
     check = is_rainbow_disconnected(g, witness, node_budget=node_budget)
     if not check.ok:
         raise RuntimeError("witness coloring failed verification")

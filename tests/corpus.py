@@ -70,3 +70,15 @@ def two_hub_graph(k: int) -> Graph:
     for v in range(2, k + 2):
         edges += [(v, h1), (v, h2)]
     return Graph(k + 4, tuple(edges))
+
+
+def bridged_cubic_pair(half: int, seed: int) -> Graph:
+    """Two random cubic graphs on ``half`` vertices each (seeds seed and
+    seed + 1), with the first edge of each subdivided and the two new
+    vertices joined: cubic, connected, and the joining edge is a bridge."""
+    a, b = random_cubic_graph(half, seed), random_cubic_graph(half, seed + 1)
+    x, y = 2 * half, 2 * half + 1
+    (p, q), (r, s) = a.edges[0], b.edges[0]
+    edges = list(a.edges[1:]) + [(u + half, v + half) for u, v in b.edges[1:]]
+    edges += [(p, x), (x, q), (r + half, y), (y, s + half), (x, y)]
+    return Graph(2 * half + 2, tuple(edges))

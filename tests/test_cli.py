@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from rainbowdisc import EdgeColoring, Graph, parse_graph, serialize_graph
+from rainbowdisc import EdgeColoring, Graph, is_proper, parse_graph, serialize_graph
 from rainbowdisc.cli import main
-from rainbowdisc.generators import complete_graph, cycle_graph, petersen_graph
+from rainbowdisc.generators import (complete_graph, cycle_graph, petersen_graph,
+                                    random_cubic_graph)
 from corpus import two_hub_graph
 
 P3_TEXT = "p edge 3 2\ne 1 2\ne 2 3\n"
@@ -78,6 +79,17 @@ class TestCut:
         path = write(tmp_path, "c4.graph", C4_MONO)
         assert main(["cut", path, "--t", "3"]) == 2
 
+    def test_long_single_color_path(self, tmp_path, capsys):
+        # the search places all 1198 inner vertices before it finds a cut,
+        # deeper than the interpreter's recursion limit
+        n = 1200
+        g = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+        path = write(tmp_path, "path.graph", serialize_graph(g, EdgeColoring((0,) * (n - 1))))
+        assert main(["cut", path, "--s", "1", "--t", str(n)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out.startswith("rainbow cut: size 1\n")
+
 
 class TestRdExact:
     def test_text(self, p3_file, capsys):
@@ -100,6 +112,15 @@ class TestRdExact:
         data = json.loads(capsys.readouterr().out)
         assert data["rd"] == 2
         assert len(data["witness_colors"]) == 4
+
+    def test_class_one_cubic_within_small_budget(self, tmp_path, capsys):
+        # level Delta is settled by a proper 3-coloring, with no level search
+        g = random_cubic_graph(16, 0)
+        path = write(tmp_path, "cubic16.graph", serialize_graph(g))
+        assert main(["rd-exact", "--json", "--budget", "100000", path]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["rd"] == 3
+        assert is_proper(g, EdgeColoring(tuple(data["witness_colors"])))
 
 
 class TestRdCheck:

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+import rainbowdisc.coloring as coloring_module
+
 from rainbowdisc import (BudgetExceededError, EdgeColoring, Graph,
                          InvalidInputError, chromatic_index_exact,
                          find_proper_k_coloring, is_proper,
                          proper_coloring_delta_plus_one)
 from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark,
                                     petersen_graph, random_cubic_graph)
-from corpus import cubic_3ec_corpus, k33_graph, random_connected_graph
+from corpus import (bridged_cubic_pair, cubic_3ec_corpus, k33_graph,
+                    random_connected_graph)
 from oracles import (chromatic_index_enumeration_oracle, chromatic_index_oracle,
                      exists_proper_k_coloring_oracle)
 
@@ -179,6 +182,33 @@ class TestWitnessFirst:
             r = chromatic_index_exact(g, node_budget=1)
             assert (r.chi_prime, r.vizing_class) == (g.max_degree + 1, 2)
             assert is_proper(g, r.witness)
+
+    def test_regular_with_bridge_needs_no_walk_or_search(self, monkeypatch):
+        # parity lemma: a Delta-regular component with a bridge is class 2,
+        # so neither the Kempe walk nor any node of the search is spent
+        def no_walk(g, start):
+            raise AssertionError("Kempe walk ran")
+
+        monkeypatch.setattr(coloring_module, "_kempe_walk_delta_coloring", no_walk)
+        pair = bridged_cubic_pair(10, 3)
+        n = pair.vertex_count
+        cubic_and_cycle = Graph(n + 4, pair.edges + tuple(
+            (u + n, v + n) for u, v in cycle_graph(4).edges))
+        for g in (bridged_cubic_pair(4, 0), bridged_cubic_pair(100, 0),
+                  bridged_cubic_pair(250, 0), cubic_and_cycle):
+            r = chromatic_index_exact(g, node_budget=1)
+            assert (r.chi_prime, r.vizing_class) == (4, 2)
+            assert is_proper(g, r.witness)
+
+    def test_bridged_graphs_that_are_not_regular_still_walk(self):
+        # a bridge alone proves nothing: a path is class 1, and so is a
+        # cubic pair whose bridge ends have degree below Delta = 4
+        g = bridged_cubic_pair(10, 0)
+        hub = Graph(g.vertex_count + 1, g.edges + ((0, g.vertex_count),))
+        for h in (Graph(4, ((0, 1), (1, 2), (2, 3))), hub):
+            r = chromatic_index_exact(h, node_budget=1)
+            assert r.vizing_class == 1
+            assert is_proper(h, r.witness)
 
     @pytest.mark.parametrize("k", [3, 5, 7, 9])
     def test_flower_snarks_proved_class_two(self, k):

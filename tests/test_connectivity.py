@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from rainbowdisc import (Graph, InvalidInputError, gomory_hu,
+from rainbowdisc import (Graph, InvalidInputError, components, gomory_hu,
                          global_edge_connectivity, local_edge_connectivity,
                          upper_edge_connectivity)
+from rainbowdisc.connectivity import bridges
 from rainbowdisc.generators import (complete_graph, cycle_graph, petersen_graph,
                                     random_cubic_graph, random_tree)
-from corpus import cubic_3ec_corpus, cubic_not_3ec_graph, random_connected_graph
+from corpus import (bridged_cubic_pair, cubic_3ec_corpus, cubic_not_3ec_graph,
+                    random_connected_graph)
 from oracles import (global_min_cut_oracle, min_cut_value_oracle,
                      upper_connectivity_oracle)
 
@@ -158,3 +160,29 @@ class TestUpperConnectivity:
         for _ in range(30):
             g = random_connected_graph(rng, rng.randint(2, 8))
             assert global_edge_connectivity(g) <= upper_edge_connectivity(g)
+
+
+class TestBridges:
+    def test_matches_component_count_on_random_graphs(self):
+        # an edge is a bridge iff deleting it adds a component
+        rng = random.Random(43)
+        for _ in range(60):
+            g = random_connected_graph(rng, rng.randint(1, 9), max_extra=rng.randint(0, 8))
+            if rng.random() < 0.5:
+                g = Graph(g.vertex_count + 3, g.edges + ((g.vertex_count, g.vertex_count + 1),))
+            base = len(components(g))
+            want = {eid for eid in range(g.edge_count)
+                    if len(components(g, [eid])) > base}
+            assert bridges(g) == want
+
+    def test_named_graphs(self):
+        assert bridges(bridged_triangles()) == {6}
+        assert bridges(cycle_graph(5)) == frozenset()
+        assert bridges(random_tree(9, 2)) == frozenset(range(8))
+        g = bridged_cubic_pair(10, 0)
+        assert bridges(g) == {g.edge_count - 1}
+
+    def test_long_path_needs_no_recursion(self):
+        n = 5000
+        g = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+        assert bridges(g) == frozenset(range(n - 1))

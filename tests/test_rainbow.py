@@ -5,9 +5,11 @@ import tracemalloc
 
 import pytest
 
+import rainbowdisc.coloring as coloring_module
 import rainbowdisc.rainbow as rainbow_module
 
-from rainbowdisc import (BudgetExceededError, CnfFormula, EdgeColoring, Graph,
+from rainbowdisc import (DEFAULT_NODE_BUDGET, BudgetExceededError, CnfFormula,
+                         EdgeColoring, Graph,
                          InvalidInputError, build_reduction, certify_rd3_coloring_proper,
                          chromatic_index_exact, decide_rd_cubic,
                          find_rainbow_cut_exact, find_rainbow_cut_fixed_k,
@@ -17,8 +19,10 @@ from rainbowdisc import (BudgetExceededError, CnfFormula, EdgeColoring, Graph,
 from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark,
                                     petersen_graph, prism_graph, random_cubic_graph,
                                     random_tree)
-from corpus import (cubic_3ec_corpus, cubic_not_3ec_graph, k33_graph,
-                    random_coloring, random_connected_graph, two_hub_graph)
+from rainbowdisc.errors import NodeBudget
+from corpus import (bridged_cubic_pair, cubic_3ec_corpus, cubic_not_3ec_graph,
+                    k33_graph, random_coloring, random_connected_graph,
+                    two_hub_graph)
 from oracles import rainbow_cut_exists_oracle, rainbow_disconnected_oracle, rd_oracle
 
 
@@ -27,6 +31,30 @@ def mono(g: Graph) -> EdgeColoring:
 
 
 PRISM_PROPER = EdgeColoring((3, 1, 2, 3, 1, 2, 1, 2, 3))
+
+
+def rd_by_level_search(g: Graph) -> int:
+    """rd from _search_disconnection_coloring alone, level by level from
+    lambda+ to max_degree, with no witness-first step."""
+    budget = NodeBudget(DEFAULT_NODE_BUDGET, "reference level search")
+    for k in range(upper_edge_connectivity(g), g.max_degree + 1):
+        if rainbow_module._search_disconnection_coloring(g, k, budget) is not None:
+            return k
+    return g.max_degree + 1
+
+
+@pytest.fixture
+def searched_levels(monkeypatch):
+    """The levels k that rd_exact hands to _search_disconnection_coloring."""
+    levels = []
+    search = rainbow_module._search_disconnection_coloring
+
+    def recording_search(g, k, budget):
+        levels.append(k)
+        return search(g, k, budget)
+
+    monkeypatch.setattr(rainbow_module, "_search_disconnection_coloring", recording_search)
+    return levels
 
 
 class TestFixedK:
@@ -255,9 +283,73 @@ class TestRdExact:
             r = rd_exact(g)
             assert upper_edge_connectivity(g) <= r.rd_value <= g.max_degree + 1
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, searched_levels):
         with pytest.raises(BudgetExceededError):
             rd_exact(petersen_graph(), node_budget=10)
+        assert searched_levels == [3]
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_class_one_cubic_within_small_budget(self, n, searched_levels):
+        # level Delta = lambda+ = 3 is settled by the Kempe walk's proper
+        # 3-coloring, so no level is searched
+        for seed in range(10):
+            g = random_cubic_graph(n, seed)
+            assert chromatic_index_exact(g).vizing_class == 1
+            r = rd_exact(g, node_budget=100_000)
+            assert r.rd_value == 3
+            assert r.witness.palette == 3
+            assert is_proper(g, r.witness)
+            assert is_rainbow_disconnected(g, r.witness).ok
+            assert len(r.per_pair_cuts) == n * (n - 1) // 2
+        assert searched_levels == []
+
+    def test_k6_is_five(self, searched_levels):
+        r = rd_exact(complete_graph(6))
+        assert r.rd_value == 5
+        assert is_proper(complete_graph(6), r.witness)
+        assert searched_levels == []
+
+    def test_prism_is_three(self, searched_levels):
+        r = rd_exact(prism_graph())
+        assert r.rd_value == 3
+        assert is_rainbow_disconnected(prism_graph(), r.witness).ok
+        assert searched_levels == []
+
+    def test_class_two_reaches_the_level_search(self, searched_levels):
+        # Petersen (walk fails) and K5 (overfull) are class 2, which does
+        # not decide rd, so level Delta is searched: rd(K5) = Delta = 4
+        assert rd_exact(petersen_graph()).rd_value == 4
+        assert searched_levels == [3]
+        searched_levels.clear()
+        assert rd_exact(complete_graph(5)).rd_value == 4
+        assert searched_levels == [4]
+
+    def test_bridged_cubic_skips_the_walk(self, monkeypatch, searched_levels):
+        # a cubic graph with a bridge is class 2 by the parity lemma: rd_exact
+        # goes straight to the level search
+        def no_walk(g, start):
+            raise AssertionError("Kempe walk ran")
+
+        monkeypatch.setattr(coloring_module, "_kempe_walk_delta_coloring", no_walk)
+        g = bridged_cubic_pair(4, 0)
+        assert rd_exact(g).rd_value == rd_by_level_search(g)
+        assert searched_levels[-1] == 3
+
+    def test_matches_level_search_on_small_graphs(self):
+        # an independent cross-check of the witness-first level Delta, now
+        # that decide_rd_cubic and rd_exact share the Kempe walk
+        rng = random.Random(31)
+        graphs = [g for _, g in cubic_3ec_corpus()]
+        graphs += [random_cubic_graph(n, seed) for n in (10, 12) for seed in range(4)]
+        graphs += [complete_graph(5), complete_graph(6), cycle_graph(6), cycle_graph(7),
+                   bridged_cubic_pair(4, 0), cubic_not_3ec_graph()]
+        graphs += [random_connected_graph(rng, rng.randint(2, 10), max_extra=5)
+                   for _ in range(30)]
+        for g in graphs:
+            assert g.vertex_count <= 12
+            r = rd_exact(g)
+            assert r.rd_value == rd_by_level_search(g)
+            assert is_rainbow_disconnected(g, r.witness).ok
 
     def test_disconnected_rejected(self):
         with pytest.raises(InvalidInputError):
