@@ -18,7 +18,7 @@ from .generators import GRAPH_KINDS, gen_cnf, gen_graph
 from .graphs import (EdgeColoring, Graph, is_connected, parse_graph,
                      serialize_graph)
 from .rainbow import (decide_rd_cubic, find_rainbow_cut_exact,
-                      find_rainbow_cut_fixed_k, is_rainbow_disconnected, rd_exact)
+                      is_rainbow_disconnected, rd_exact)
 from .reduction import (build_reduction, parse_dimacs_cnf, reduction_sidecar,
                         serialize_dimacs_cnf, verify_reduction)
 
@@ -110,10 +110,7 @@ def cmd_cut(args: argparse.Namespace) -> int:
     assert c is not None
     s = _internal_vertex(g, args.s, "--s")
     t = _internal_vertex(g, args.t, "--t")
-    if args.k is not None:
-        cert = find_rainbow_cut_fixed_k(g, c, s, t, args.k)
-    else:
-        cert = find_rainbow_cut_exact(g, c, s, t, args.budget)
+    cert = find_rainbow_cut_exact(g, c, s, t, args.budget)
     if cert is None:
         _emit(args, {"found": False}, "no rainbow cut")
         return EXIT_FALSE
@@ -238,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph_file")
     p.add_argument("--s", type=int, required=True, help="source vertex (1-indexed)")
     p.add_argument("--t", type=int, required=True, help="target vertex (1-indexed)")
-    p.add_argument("--k", type=int,
-                   help="use the per-color-class enumeration with this k")
     common(p)
     p.set_defaults(func=cmd_cut)
 

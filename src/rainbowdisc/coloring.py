@@ -25,6 +25,58 @@ def is_proper(g: Graph, c: EdgeColoring) -> bool:
     return True
 
 
+def _kempe_table(g: Graph, k: int, color: list[int]):
+    """The color table of a partial proper coloring with colors 0..k-1, where
+    color[eid] == -1 marks an uncolored edge, and the operations on it.
+
+    at[v][c] is the edge of color c at v, or -1 when c is free at v. The
+    closures keep ``color`` and ``at`` in step: free(x) lists the colors free
+    at x in ascending order; assign(eid, c) colors an uncolored edge; clear(eid)
+    uncolors a colored one; chain(x, a, b), where a is free at x, walks the
+    a/b Kempe chain from x and returns its edges and its far end; swap(path,
+    a, b) exchanges a and b along such a chain. Properness makes a chain a
+    path that cannot return to x, and a swap keeps the coloring proper.
+    """
+    at = [[-1] * k for _ in range(g.vertex_count)]
+    for eid, (u, v) in enumerate(g.edges):
+        if color[eid] != -1:
+            at[u][color[eid]] = at[v][color[eid]] = eid
+
+    def free(x: int) -> list[int]:
+        row = at[x]
+        return [c for c in range(k) if row[c] == -1]
+
+    def assign(eid: int, c: int) -> None:
+        color[eid] = c
+        u, v = g.edges[eid]
+        at[u][c] = at[v][c] = eid
+
+    def clear(eid: int) -> None:
+        u, v = g.edges[eid]
+        at[u][color[eid]] = at[v][color[eid]] = -1
+        color[eid] = -1
+
+    def chain(x: int, a: int, b: int) -> tuple[list[int], int]:
+        path: list[int] = []
+        want = b
+        while at[x][want] != -1:
+            eid = at[x][want]
+            path.append(eid)
+            p, q = g.edges[eid]
+            x = q if p == x else p
+            want = a if want == b else b
+        return path, x
+
+    def swap(path: list[int], a: int, b: int) -> None:
+        for eid in path:
+            u, v = g.edges[eid]
+            at[u][color[eid]] = at[v][color[eid]] = -1
+        for eid in path:
+            assign(eid, a if color[eid] == b else b)
+
+    return at, free, assign, clear, chain, swap
+
+
 def proper_coloring_delta_plus_one(g: Graph) -> EdgeColoring:
     """Proper edge coloring with palette max_degree + 1, built by fan rotations.
 
@@ -32,93 +84,60 @@ def proper_coloring_delta_plus_one(g: Graph) -> EdgeColoring:
     u starting at v (each next fan edge's color must be free at the previous
     fan vertex; candidates scanned in ascending neighbor order). Let c be the
     smallest color free at u and d the smallest free at the fan's last
-    vertex. If d is busy at u, collect the maximal alternating d/c path
-    starting at u and swap its colors, which frees d at u without breaking
-    properness elsewhere. Then take the first fan prefix that is still a fan
-    under the current colors and whose last vertex has d free, rotate the
-    prefix's colors one step toward the uncolored edge, and give the prefix's
-    last edge color d. Deterministic throughout: smallest color, smallest
-    neighbor, first valid prefix.
+    vertex. If d is busy at u, swap the c/d Kempe chain from u, which frees
+    d at u without breaking properness elsewhere. Then take the first fan
+    prefix that is still a fan under the current colors and whose last
+    vertex has d free, rotate the prefix's colors one step toward the
+    uncolored edge, and give the prefix's last edge color d. Deterministic
+    throughout: smallest color, smallest neighbor, first valid prefix.
     """
     m = g.edge_count
     if m == 0:
         raise InvalidInputError("graph has no edges")
     k = g.max_degree + 1
     color = [-1] * m
-    used: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    at, _, assign, clear, chain, swap = _kempe_table(g, k, color)
     sorted_adj = [sorted((w, eid) for eid, w in g.adjacency[v])
                   for v in range(g.vertex_count)]
-
-    def rebuild(v: int) -> None:
-        used[v] = {color[eid] for eid, _ in g.adjacency[v] if color[eid] != -1}
-
-    def smallest_free(v: int) -> int:
-        for col in range(k):
-            if col not in used[v]:
-                return col
-        raise RuntimeError("no free color at a vertex; degree bound violated")
 
     for e0 in range(m):
         u, v0 = g.edges[e0]
         fan: list[tuple[int, int]] = [(v0, e0)]
         in_fan = {v0}
         while True:
-            last = fan[-1][0]
+            at_last = at[fan[-1][0]]
             ext = None
             for w, eid in sorted_adj[u]:
-                if w in in_fan or color[eid] == -1:
-                    continue
-                if color[eid] not in used[last]:
+                if w not in in_fan and color[eid] != -1 and at_last[color[eid]] == -1:
                     ext = (w, eid)
                     break
             if ext is None:
                 break
             fan.append(ext)
             in_fan.add(ext[0])
-        c = smallest_free(u)
-        d = smallest_free(fan[-1][0])
-        if d in used[u]:
-            # collect the whole alternating path first, then flip it; properness
-            # keeps at most one edge of each color at a vertex, so the walk is
-            # forced and cannot revisit an edge
-            path: list[int] = []
-            x, want = u, d
-            while True:
-                step = None
-                for eid, y in g.adjacency[x]:
-                    if color[eid] == want:
-                        step = (eid, y)
-                        break
-                if step is None:
-                    break
-                path.append(step[0])
-                x = step[1]
-                want = c if want == d else d
-            touched: set[int] = set()
-            for eid in path:
-                color[eid] = c if color[eid] == d else d
-                a, b = g.edges[eid]
-                touched.add(a)
-                touched.add(b)
-            for x in touched:
-                rebuild(x)
-            if d in used[u]:
+        try:
+            c, d = at[u].index(-1), at[fan[-1][0]].index(-1)
+        except ValueError:
+            raise RuntimeError("no free color at a vertex; degree bound violated") from None
+        if at[u][d] != -1:
+            swap(chain(u, c, d)[0], c, d)
+            if at[u][d] != -1:
                 raise RuntimeError("alternating path inversion failed to free d at u")
         j = None
         for idx, (w, eid) in enumerate(fan):
-            if idx > 0 and (color[eid] == -1 or color[eid] in used[fan[idx - 1][0]]):
+            if idx > 0 and (color[eid] == -1 or at[fan[idx - 1][0]][color[eid]] != -1):
                 break  # the prefix stops being a fan here
-            if d not in used[w]:
+            if at[w][d] == -1:
                 j = idx
                 break
         if j is None:
             raise RuntimeError("no fan prefix accepts the free color")
-        for idx in range(j):
-            color[fan[idx][1]] = color[fan[idx + 1][1]]
-        color[fan[j][1]] = d
-        rebuild(u)
-        for w, _ in fan[:j + 1]:
-            rebuild(w)
+        # rotate: each prefix edge takes its successor's color, the last takes d
+        shifted = [color[eid] for _, eid in fan[1:j + 1]] + [d]
+        for _, eid in fan[1:j + 1]:
+            clear(eid)
+        for (_, eid), col in zip(fan, shifted):
+            assign(eid, col)
     return EdgeColoring(tuple(color), k)
 
 
@@ -129,44 +148,52 @@ def find_proper_k_coloring(g: Graph, k: int,
     Edges are processed in descending max-endpoint-degree order (ties broken
     by edge id); the i-th processed edge may only take colors 0..min(i, k-1),
     which breaks color permutation symmetry. Every color attempt costs one
-    node of the budget; exceeding it raises rather than guessing.
+    node of the budget; exceeding it raises rather than guessing. The
+    depth-first search keeps its stack in ``assigned``, so its depth is not
+    bounded by the interpreter's recursion limit.
     """
     m = g.edge_count
     if m == 0:
         raise InvalidInputError("graph has no edges")
     if k <= 0:
         return None
+    edges = g.edges
     degs = g.degrees
     order = sorted(range(m),
-                   key=lambda e: (-max(degs[g.edges[e][0]], degs[g.edges[e][1]]), e))
+                   key=lambda e: (-max(degs[edges[e][0]], degs[edges[e][1]]), e))
     vmask = [0] * g.vertex_count
     assigned = [-1] * m
     budget = NodeBudget(node_budget, "proper edge coloring search")
-
-    def dfs(i: int) -> bool:
-        if i == m:
-            return True
+    i = 0
+    first = 0  # the smallest color still to try at depth i
+    while i < m:
         eid = order[i]
-        u, v = g.edges[eid]
+        u, v = edges[eid]
         forbidden = vmask[u] | vmask[v]
-        for col in range(min(i, k - 1) + 1):
+        for col in range(first, min(i, k - 1) + 1):
             bit = 1 << col
-            if forbidden & bit:
-                continue
-            budget.spend()
-            vmask[u] |= bit
-            vmask[v] |= bit
-            assigned[eid] = col
-            if dfs(i + 1):
-                return True
+            if not forbidden & bit:
+                break
+        else:
+            # depth i is exhausted: undo depth i - 1 and try its next color
+            if i == 0:
+                return None
+            i -= 1
+            eid = order[i]
+            u, v = edges[eid]
+            first = assigned[eid] + 1
+            bit = 1 << assigned[eid]
             vmask[u] ^= bit
             vmask[v] ^= bit
             assigned[eid] = -1
-        return False
-
-    if dfs(0):
-        return EdgeColoring(tuple(assigned), k)
-    return None
+            continue
+        budget.spend()
+        vmask[u] |= bit
+        vmask[v] |= bit
+        assigned[eid] = col
+        i += 1
+        first = 0
+    return EdgeColoring(tuple(assigned), k)
 
 
 # The Kempe walk gives up after this many steps per edge. On random cubic
@@ -199,43 +226,10 @@ def _kempe_walk_delta_coloring(g: Graph, start: EdgeColoring) -> EdgeColoring | 
     """
     delta = g.max_degree
     color = list(start.colors)
-    # at[v][c] is the edge of color c at v, or -1 when c is free at v
-    at = [[-1] * delta for _ in range(g.vertex_count)]
-    pending: list[int] = []
-    for eid, (u, v) in enumerate(g.edges):
-        if color[eid] == delta:
-            color[eid] = -1
-            pending.append(eid)
-        else:
-            at[u][color[eid]] = at[v][color[eid]] = eid
-
-    def free(x: int) -> list[int]:
-        return [c for c in range(delta) if at[x][c] == -1]
-
-    def assign(eid: int, c: int) -> None:
-        color[eid] = c
-        u, v = g.edges[eid]
-        at[u][c] = at[v][c] = eid
-
-    def chain(x: int, a: int, b: int) -> tuple[list[int], int]:
-        """The a/b Kempe chain from x, where a is free at x: its edges and
-        its far end. Properness makes it a path that cannot return to x."""
-        path: list[int] = []
-        want = b
-        while at[x][want] != -1:
-            eid = at[x][want]
-            path.append(eid)
-            p, q = g.edges[eid]
-            x = q if p == x else p
-            want = a if want == b else b
-        return path, x
-
-    def swap(path: list[int], a: int, b: int) -> None:
-        for eid in path:
-            u, v = g.edges[eid]
-            at[u][color[eid]] = at[v][color[eid]] = -1
-        for eid in path:
-            assign(eid, a if color[eid] == b else b)
+    pending = [eid for eid, col in enumerate(color) if col == delta]
+    for eid in pending:
+        color[eid] = -1
+    at, free, assign, clear, chain, swap = _kempe_table(g, delta, color)
 
     def swap_then_assign(eid: int, u: int, v: int) -> bool:
         """Swap an a/b chain from u that does not end at v, then give eid
@@ -270,9 +264,7 @@ def _kempe_walk_delta_coloring(g: Graph, start: EdgeColoring) -> EdgeColoring | 
                 else:
                     # a is busy at y, since no color is free at both ends
                     moved = at[y][a]
-                    p, q = g.edges[moved]
-                    at[p][a] = at[q][a] = -1
-                    color[moved] = -1
+                    clear(moved)
                     assign(eid, a)
                     eid = moved
     witness = EdgeColoring(tuple(color), delta)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .coloring import (_delta_coloring, chromatic_index_exact, is_proper,
                        proper_coloring_delta_plus_one)
 from .connectivity import global_edge_connectivity, upper_edge_connectivity
-from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, InvalidInputError, NodeBudget
+from .errors import DEFAULT_NODE_BUDGET, InvalidInputError, NodeBudget
 from .graphs import (CutCertificate, EdgeColoring, Graph, certificate_from_side,
                      components, is_connected, is_rainbow, reachable_from)
 
@@ -437,26 +437,23 @@ def split_along_rainbow_cut(g: Graph, c: EdgeColoring,
 
 def _smallest_splitting_cut(g: Graph, c: EdgeColoring) -> tuple[int, int, int] | None:
     """Lexicographically smallest edge-id triple that is a rainbow cut with
-    pairwise disjoint endpoints splitting g into exactly two components."""
+    pairwise disjoint endpoints splitting g into exactly two components.
+
+    g must be 3-edge-connected, as is every graph the splitting scans. Then
+    three edges whose removal disconnects g leave exactly two components,
+    and each of the three crosses between them: a third component, or an
+    edge inside one, would leave some component joined to the rest by
+    fewer than three edges.
+    """
     for trio in itertools.combinations(range(g.edge_count), 3):
         endpoints = {v for eid in trio for v in g.edges[eid]}
-        if len(endpoints) != 6:
-            continue
-        if not is_rainbow(c, trio):
-            continue
-        comps = components(g, trio)
-        if len(comps) != 2:
-            continue
-        comp1 = set(comps[0])
-        if all((g.edges[eid][0] in comp1) != (g.edges[eid][1] in comp1)
-               for eid in trio):
+        if len(endpoints) == 6 and is_rainbow(c, trio) and len(components(g, trio)) > 1:
             return trio
     return None
 
 
 def certify_rd3_coloring_proper(g: Graph, c: EdgeColoring, *,
-                                node_budget: int = DEFAULT_NODE_BUDGET,
-                                max_splits: int = 10000) -> bool:
+                                node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Certify that a 3-color rainbow disconnection coloring of a
     3-edge-connected cubic graph is proper, without checking properness of g
     directly.
@@ -469,6 +466,11 @@ def certify_rd3_coloring_proper(g: Graph, c: EdgeColoring, *,
     survives in exactly one terminal graph with its incident colors intact,
     and each fresh vertex is properly colored by rainbowness of its cut, so
     the verdict transfers to g.
+
+    The splitting ends after at most (n - 4) / 2 splits: each split replaces
+    a part by two whose vertex counts sum to 2 more, and every part is a
+    cubic graph, so it has at least 4 vertices; with s splits the s + 1
+    final parts hold n + 2s >= 4(s + 1) vertices.
     """
     if g.vertex_count == 0 or any(d != 3 for d in g.degrees):
         raise InvalidInputError("graph is not cubic")
@@ -482,7 +484,6 @@ def certify_rd3_coloring_proper(g: Graph, c: EdgeColoring, *,
         raise InvalidInputError(
             f"not a rainbow disconnection coloring: pair {check.failing_pair} "
             "has no rainbow cut")
-    splits = 0
     stack: list[tuple[Graph, EdgeColoring]] = [(g, c)]
     while stack:
         h, hc = stack.pop()
@@ -491,9 +492,6 @@ def certify_rd3_coloring_proper(g: Graph, c: EdgeColoring, *,
             if not is_proper(h, hc):
                 return False
             continue
-        splits += 1
-        if splits > max_splits:
-            raise BudgetExceededError("rainbow cut decomposition", max_splits)
         pair = split_along_rainbow_cut(h, hc, cut)
         for part, pcol in (pair.part_1, pair.part_2):
             if any(d != 3 for d in part.degrees) or global_edge_connectivity(part) < 3:

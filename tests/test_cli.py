@@ -65,11 +65,13 @@ class TestCut:
 
     def test_fixed_k_json(self, tmp_path, capsys):
         path = write(tmp_path, "c4.graph", C4_ALT)
-        assert main(["cut", "--json", path, "--s", "1", "--t", "3", "--k", "2"]) == 0
+        assert main(["cut", "--json", path, "--s", "1", "--t", "3"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["found"] is True
         assert len(data["cut_edges"]) == 2
         assert 1 in data["side_s"] and 3 not in data["side_s"]
+        # the per-color-class enumeration is no longer a command-line strategy
+        assert main(["cut", "--json", path, "--s", "1", "--t", "3", "--k", "2"]) == 2
 
     def test_vertex_out_of_range(self, tmp_path, capsys):
         path = write(tmp_path, "c4.graph", C4_MONO)

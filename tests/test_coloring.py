@@ -149,6 +149,31 @@ def test_find_proper_k_coloring_exhaustive_failure():
     assert is_proper(cycle_graph(6), found)
 
 
+class TestSearchDepth:
+    """The search is deeper than the interpreter's recursion limit."""
+
+    def test_long_even_cycle_two_colored(self):
+        g = cycle_graph(2000)
+        found = find_proper_k_coloring(g, 2)
+        assert found is not None and found.palette == 2
+        assert is_proper(g, found)
+
+    def test_long_odd_cycle_has_none(self):
+        assert find_proper_k_coloring(cycle_graph(2001), 2) is None
+
+    def test_large_snark_exhausts_budget(self):
+        with pytest.raises(BudgetExceededError):
+            find_proper_k_coloring(flower_snark(169), 3, 100_000)
+
+    @pytest.mark.parametrize("g, nodes", [(petersen_graph(), 55), (flower_snark(5), 1183)],
+                             ids=["petersen", "J5"])
+    def test_class_two_proof_node_count(self, g, nodes):
+        # the exact number of color attempts that proves no 3-coloring
+        assert find_proper_k_coloring(g, 3, nodes) is None
+        with pytest.raises(BudgetExceededError):
+            find_proper_k_coloring(g, 3, nodes - 1)
+
+
 class TestWitnessFirst:
     @pytest.mark.parametrize("n", [60, 100, 200, 300])
     def test_random_cubic_class_one_without_search(self, n):

@@ -1,5 +1,6 @@
 """Rainbow cut search, disconnection checks, rd computation, splitting."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -432,6 +433,26 @@ class TestSplit:
 
 
 class TestCertify:
+    def test_splitting_scan_is_smallest_valid_split(self):
+        # the scan's short test agrees with every check split_along_rainbow_cut
+        # makes, on 3-edge-connected cubic graphs with proper and random colorings
+        def splits(g, c, trio):
+            try:
+                split_along_rainbow_cut(g, c, trio)
+            except InvalidInputError:
+                return False
+            return True
+
+        rng = random.Random(3)
+        for _, g in cubic_3ec_corpus(random_count=4):
+            colorings = [chromatic_index_exact(g).witness]
+            colorings += [EdgeColoring(tuple(rng.randrange(3) for _ in range(g.edge_count)), 3)
+                          for _ in range(3)]
+            for c in colorings:
+                expected = next((trio for trio in itertools.combinations(range(g.edge_count), 3)
+                                 if splits(g, c, trio)), None)
+                assert rainbow_module._smallest_splitting_cut(g, c) == expected
+
     def test_k4_proper_witness(self):
         g = complete_graph(4)
         c = chromatic_index_exact(g).witness
