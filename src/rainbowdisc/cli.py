@@ -39,10 +39,10 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_graph(path: str, *, colored: bool | None = None,
+def _load_graph(path: str, *, colored: bool = False,
                 connected: bool = False) -> tuple[Graph, EdgeColoring | None]:
     g, c = parse_graph(_read(path))
-    if colored is True and c is None:
+    if colored and c is None:
         raise InvalidInputError(f"{path}: edge colors required")
     if connected:
         if g.vertex_count < 2:

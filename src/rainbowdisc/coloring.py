@@ -218,9 +218,9 @@ def _kempe_walk_delta_coloring(g: Graph, start: EdgeColoring) -> EdgeColoring | 
 
     The walk gives up after _WALK_STEPS_PER_EDGE * m = 40m steps and returns
     None, so on a class-2 graph it always runs them all, and a step walks
-    Kempe chains of up to n edges; _delta_coloring skips it on the class-2
-    graphs that _provably_class_two recognizes. It expands no node of any
-    search budget.
+    Kempe chains of up to n edges; chromatic_index_exact skips it on the
+    class-2 graphs that _provably_class_two recognizes. It expands no node
+    of any search budget.
     A returned coloring has passed is_proper. Deterministic: the random
     steps draw from random.Random(_WALK_SEED).
     """
@@ -289,26 +289,6 @@ def _provably_class_two(g: Graph, delta: int) -> bool:
     return False
 
 
-def _delta_coloring(g: Graph, start: EdgeColoring,
-                    node_budget: int | None = None) -> EdgeColoring | None:
-    """A proper max_degree-coloring of g, witness first, or None.
-
-    None at once when _provably_class_two rules one out. Otherwise the
-    Kempe walk from ``start``, the Delta+1 coloring built by
-    proper_coloring_delta_plus_one, looks for one without spending any
-    node. Only if it fails, and only when a node_budget is given, does
-    find_proper_k_coloring search exhaustively with it; None then proves
-    class 2, while without a budget it only says the walk gave up.
-    """
-    delta = g.max_degree
-    if _provably_class_two(g, delta):
-        return None
-    witness = _kempe_walk_delta_coloring(g, start)
-    if witness is None and node_budget is not None:
-        witness = find_proper_k_coloring(g, delta, node_budget)
-    return witness
-
-
 @dataclass(frozen=True)
 class ChromaticIndexResult:
     """Exact chromatic index with a witness coloring using that many colors."""
@@ -324,23 +304,26 @@ def chromatic_index_exact(g: Graph,
     colors exists (class 1), else max_degree + 1 (class 2, witnessed by the
     constructive coloring).
 
-    Witness first, exhaustive search last (_delta_coloring). A graph with
-    an overfull component, one whose m_i edges exceed max_degree *
-    floor(n_i/2) for its n_i vertices, is class 2 outright, since every
-    color class is a matching; an overfull graph always has one. So is a
-    graph with a max_degree-regular component that has a bridge (parity
-    lemma). Otherwise a Kempe-chain walk from the Delta+1 coloring looks for
-    a class-1 witness within a fixed bound of 40m steps
-    (_kempe_walk_delta_coloring), spending no node of the budget. Only if it
-    fails does find_proper_k_coloring search exhaustively, with the full
-    node_budget, to find a witness or prove class 2.
+    Witness first, exhaustive search last. A graph with an overfull
+    component, one whose m_i edges exceed max_degree * floor(n_i/2) for its
+    n_i vertices, is class 2 outright, since every color class is a
+    matching; an overfull graph always has one. So is a graph with a
+    max_degree-regular component that has a bridge (parity lemma); both
+    rules are _provably_class_two. Otherwise a Kempe-chain walk from the
+    Delta+1 coloring looks for a class-1 witness within a fixed bound of 40m
+    steps (_kempe_walk_delta_coloring), spending no node of the budget. Only
+    if it fails does find_proper_k_coloring search exhaustively, with the
+    full node_budget, to find a witness or prove class 2. The budget is this
+    call's own: rd_exact, which settles its level max_degree here, passes
+    its node_budget in again, apart from the nodes its level searches spend.
     """
-    m = g.edge_count
-    if m == 0:
-        raise InvalidInputError("graph has no edges")
     delta = g.max_degree
     start = proper_coloring_delta_plus_one(g)
-    witness = _delta_coloring(g, start, node_budget)
+    witness = None
+    if not _provably_class_two(g, delta):
+        witness = _kempe_walk_delta_coloring(g, start)
+        if witness is None:
+            witness = find_proper_k_coloring(g, delta, node_budget)
     if witness is not None:
         return ChromaticIndexResult(delta, witness, 1)
     return ChromaticIndexResult(delta + 1, start, 2)

@@ -54,10 +54,7 @@ def local_edge_connectivity(g: Graph, s: int, t: int) -> tuple[int, CutCertifica
     The certificate is canonical: side_s is the set of vertices reachable
     from s in the final residual network.
     """
-    g.check_vertex(s)
-    g.check_vertex(t)
-    if s == t:
-        raise InvalidInputError("s and t must differ")
+    g.check_pair(s, t)
     if not is_connected(g):
         raise InvalidInputError("graph must be connected")
     value, side = _max_flow(g, s, t)

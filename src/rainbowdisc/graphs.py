@@ -69,6 +69,12 @@ class Graph:
         if not (0 <= v < self.vertex_count):
             raise InvalidInputError(f"vertex {v} out of range")
 
+    def check_pair(self, s: int, t: int) -> None:
+        self.check_vertex(s)
+        self.check_vertex(t)
+        if s == t:
+            raise InvalidInputError("s and t must differ")
+
     def check_edge_ids(self, ids: Iterable[int]) -> None:
         for e in ids:
             if not (0 <= e < self.edge_count):
@@ -249,10 +255,7 @@ def reachable_from(g: Graph, start: int, removed: Iterable[int] = ()) -> frozens
 
 def separates(g: Graph, cut: Iterable[int], s: int, t: int) -> bool:
     """True iff removing the cut edges leaves no s-t path."""
-    g.check_vertex(s)
-    g.check_vertex(t)
-    if s == t:
-        raise InvalidInputError("s and t must differ")
+    g.check_pair(s, t)
     return t not in reachable_from(g, s, cut)
 
 
@@ -286,10 +289,7 @@ def certificate_from_side(g: Graph, side_s: Iterable[int]) -> CutCertificate:
 
 def check_cut_certificate(g: Graph, cert: CutCertificate, s: int, t: int) -> None:
     """Raise InvalidInputError unless cert witnesses an s-t separation in g."""
-    g.check_vertex(s)
-    g.check_vertex(t)
-    if s == t:
-        raise InvalidInputError("s and t must differ")
+    g.check_pair(s, t)
     g.check_edge_ids(cert.cut_edges)
     if s not in cert.side_s or t not in cert.side_t:
         raise InvalidInputError("certificate sides do not contain s and t")

@@ -16,9 +16,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .coloring import (_delta_coloring, chromatic_index_exact, is_proper,
-                       proper_coloring_delta_plus_one)
-from .connectivity import global_edge_connectivity, upper_edge_connectivity
+from .coloring import chromatic_index_exact, is_proper
+from .connectivity import global_edge_connectivity, gomory_hu
 from .errors import DEFAULT_NODE_BUDGET, InvalidInputError, NodeBudget
 from .graphs import (CutCertificate, EdgeColoring, Graph, certificate_from_side,
                      components, is_connected, is_rainbow, reachable_from)
@@ -30,12 +29,16 @@ def _check_colored(g: Graph, c: EdgeColoring) -> None:
 
 
 def _check_pair(g: Graph, s: int, t: int) -> None:
-    g.check_vertex(s)
-    g.check_vertex(t)
-    if s == t:
-        raise InvalidInputError("s and t must differ")
+    g.check_pair(s, t)
     if not is_connected(g):
         raise InvalidInputError("graph must be connected")
+
+
+def _check_cubic_3ec(g: Graph) -> None:
+    if g.vertex_count == 0 or any(d != 3 for d in g.degrees):
+        raise InvalidInputError("graph is not cubic")
+    if not is_connected(g) or global_edge_connectivity(g) < 3:
+        raise InvalidInputError("graph is not 3-edge-connected")
 
 
 def _dense_colors(c: EdgeColoring) -> tuple[list[int], int]:
@@ -309,34 +312,44 @@ class RdResult:
 def rd_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> RdResult:
     """Exact rainbow disconnection number by increasing-k exhaustive search.
 
-    k starts at the largest pairwise edge connectivity (a lower bound: some
-    pair needs that many cut edges, all distinctly colored) and ends at
-    max_degree + 1, where the constructive proper coloring always works, so
-    no search is needed at the top level. Levels below max_degree are
-    searched exhaustively. Level max_degree is witness first: a proper
-    max_degree-coloring rainbow-disconnects the graph (every vertex star is
-    a rainbow cut), so when the shape rules of chromatic_index_exact leave
-    class 1 open and its Kempe walk finds one, that coloring is the witness
-    and the level is not searched; else the level is searched as the others.
-    The search is exhaustive per level and meant for small graphs; node
-    counts grow as 2^(n-1) per searched level.
+    k starts at lambda+, the largest pairwise edge connectivity (a lower
+    bound: some pair needs that many cut edges, all distinctly colored), and
+    ends at max_degree + 1, where the constructive proper coloring always
+    works. Levels below max_degree are searched exhaustively. Level
+    max_degree is settled by chromatic_index_exact(g, node_budget), which
+    spends its own node_budget, apart from the level searches' one. Class 1
+    gives rd = max_degree with its proper coloring as the witness (every
+    vertex star is a rainbow cut). Class 2 gives rd = 4 with the Delta+1
+    coloring when lambda = max_degree = 3, that is, for a 3-edge-connected
+    cubic graph; otherwise the level is searched as the others. The search
+    is exhaustive per level and meant for small graphs; node counts grow as
+    2^(n-1) per searched level.
     """
     if g.vertex_count < 2:
         raise InvalidInputError("graph must have at least two vertices")
     if not is_connected(g):
         raise InvalidInputError("graph must be connected")
-    lo = upper_edge_connectivity(g)
+    # lambda and lambda+ are the smallest and largest Gomory-Hu tree flows
+    flows = gomory_hu(g).flow[1:]
+    lam, lam_plus = min(flows), max(flows)
     delta = g.max_degree
-    start = proper_coloring_delta_plus_one(g)
     budget = NodeBudget(node_budget, "rainbow disconnection number search")
-    value, witness = delta + 1, start
-    for k in range(lo, delta + 1):
-        found = _delta_coloring(g, start) if k == delta else None
-        if found is None:
-            found = _search_disconnection_coloring(g, k, budget)
-        if found is not None:
-            value, witness = k, found
+    for k in range(lam_plus, delta):
+        witness = _search_disconnection_coloring(g, k, budget)
+        if witness is not None:
+            value = k
             break
+    else:
+        chi = chromatic_index_exact(g, node_budget)
+        value, witness = chi.chi_prime, chi.witness
+        # lambda = Delta = 3 means 3-edge-connected cubic. Such a graph has
+        # rd = 3 exactly when it is 3-edge-colorable (the paper's cubic
+        # theorem), so there class 2 means rd = chi' = 4 with no search.
+        cubic_3ec = lam == delta == 3
+        if chi.vizing_class == 2 and not cubic_3ec:
+            found = _search_disconnection_coloring(g, delta, budget)
+            if found is not None:
+                value, witness = delta, found
     check = is_rainbow_disconnected(g, witness, node_budget=node_budget)
     if not check.ok:
         raise RuntimeError("witness coloring failed verification")
@@ -359,10 +372,7 @@ def decide_rd_cubic(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CubicRd
     colorings rainbow-disconnect via vertex stars, and connectivity 3 rules
     out anything smaller).
     """
-    if g.vertex_count == 0 or any(d != 3 for d in g.degrees):
-        raise InvalidInputError("graph is not cubic")
-    if not is_connected(g) or global_edge_connectivity(g) < 3:
-        raise InvalidInputError("graph is not 3-edge-connected")
+    _check_cubic_3ec(g)
     result = chromatic_index_exact(g, node_budget)
     return CubicRdDecision(result.chi_prime, result.witness)
 
@@ -472,10 +482,7 @@ def certify_rd3_coloring_proper(g: Graph, c: EdgeColoring, *,
     cubic graph, so it has at least 4 vertices; with s splits the s + 1
     final parts hold n + 2s >= 4(s + 1) vertices.
     """
-    if g.vertex_count == 0 or any(d != 3 for d in g.degrees):
-        raise InvalidInputError("graph is not cubic")
-    if not is_connected(g) or global_edge_connectivity(g) < 3:
-        raise InvalidInputError("graph is not 3-edge-connected")
+    _check_cubic_3ec(g)
     _check_colored(g, c)
     if c.color_count > 3:
         raise InvalidInputError("coloring uses more than 3 distinct colors")

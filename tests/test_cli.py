@@ -124,6 +124,15 @@ class TestRdExact:
         assert data["rd"] == 3
         assert is_proper(g, EdgeColoring(tuple(data["witness_colors"])))
 
+    def test_class_two_3ec_cubic_within_small_budget(self, tmp_path, capsys):
+        # 3-edge-connected and class 2, so rd = chi' = 4 with no level search
+        g = random_cubic_graph(16, 232)
+        path = write(tmp_path, "cubic16-g232.graph", serialize_graph(g))
+        assert main(["rd-exact", "--json", "--budget", "100000", path]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["rd"] == 4
+        assert is_proper(g, EdgeColoring(tuple(data["witness_colors"])))
+
 
 class TestRdCheck:
     def test_true(self, tmp_path, capsys):

@@ -285,9 +285,20 @@ class TestRdExact:
             assert upper_edge_connectivity(g) <= r.rd_value <= g.max_degree + 1
 
     def test_budget_exceeded(self, searched_levels):
-        with pytest.raises(BudgetExceededError):
+        # K5 is class 2 by shape alone, so its level Delta = 4 is searched
+        with pytest.raises(BudgetExceededError,
+                           match="rainbow disconnection number search"):
+            rd_exact(complete_graph(5), node_budget=10)
+        assert searched_levels == [4]
+        searched_levels.clear()
+        # Petersen's class-2 proof is chromatic_index_exact's search, which
+        # needs 55 nodes
+        with pytest.raises(BudgetExceededError, match="proper edge coloring search"):
             rd_exact(petersen_graph(), node_budget=10)
-        assert searched_levels == [3]
+        with pytest.raises(BudgetExceededError, match="proper edge coloring search"):
+            rd_exact(petersen_graph(), node_budget=54)
+        assert rd_exact(petersen_graph(), node_budget=55).rd_value == 4
+        assert searched_levels == []
 
     @pytest.mark.parametrize("n", [14, 16])
     def test_class_one_cubic_within_small_budget(self, n, searched_levels):
@@ -317,13 +328,21 @@ class TestRdExact:
         assert searched_levels == []
 
     def test_class_two_reaches_the_level_search(self, searched_levels):
-        # Petersen (walk fails) and K5 (overfull) are class 2, which does
-        # not decide rd, so level Delta is searched: rd(K5) = Delta = 4
-        assert rd_exact(petersen_graph()).rd_value == 4
-        assert searched_levels == [3]
-        searched_levels.clear()
+        # class 2 decides rd = 4 on a 3-edge-connected cubic graph (Petersen,
+        # J_3), but not on K5, which is overfull: its level Delta is
+        # searched, and rd(K5) = Delta = 4
+        for g in (petersen_graph(), flower_snark(3)):
+            assert rd_exact(g).rd_value == 4
+        assert searched_levels == []
         assert rd_exact(complete_graph(5)).rd_value == 4
         assert searched_levels == [4]
+
+    def test_class_two_3ec_cubic_within_small_budget(self, searched_levels):
+        g = random_cubic_graph(16, 232)
+        r = rd_exact(g, node_budget=100_000)
+        assert r.rd_value == 4
+        assert is_proper(g, r.witness)
+        assert searched_levels == []
 
     def test_bridged_cubic_skips_the_walk(self, monkeypatch, searched_levels):
         # a cubic graph with a bridge is class 2 by the parity lemma: rd_exact
@@ -337,10 +356,11 @@ class TestRdExact:
         assert searched_levels[-1] == 3
 
     def test_matches_level_search_on_small_graphs(self):
-        # an independent cross-check of the witness-first level Delta, now
-        # that decide_rd_cubic and rd_exact share the Kempe walk
+        # an independent cross-check of level Delta, which rd_exact settles
+        # with chromatic_index_exact and, on the class-2 3-edge-connected
+        # cubic graphs (Petersen, J_3), with the cubic theorem
         rng = random.Random(31)
-        graphs = [g for _, g in cubic_3ec_corpus()]
+        graphs = [g for _, g in cubic_3ec_corpus()] + [flower_snark(3)]
         graphs += [random_cubic_graph(n, seed) for n in (10, 12) for seed in range(4)]
         graphs += [complete_graph(5), complete_graph(6), cycle_graph(6), cycle_graph(7),
                    bridged_cubic_pair(4, 0), cubic_not_3ec_graph()]
