@@ -15,8 +15,7 @@ from .coloring import chromatic_index_exact
 from .connectivity import gomory_hu
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, InvalidInputError
 from .generators import GRAPH_KINDS, gen_cnf, gen_graph
-from .graphs import (EdgeColoring, Graph, is_connected, parse_graph,
-                     serialize_graph)
+from .graphs import EdgeColoring, Graph, parse_graph, serialize_graph
 from .rainbow import (decide_rd_cubic, find_rainbow_cut_exact,
                       is_rainbow_disconnected, rd_exact)
 from .reduction import (build_reduction, parse_dimacs_cnf, reduction_sidecar,
@@ -39,16 +38,10 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_graph(path: str, *, colored: bool = False,
-                connected: bool = False) -> tuple[Graph, EdgeColoring | None]:
+def _load_graph(path: str, *, colored: bool = False) -> tuple[Graph, EdgeColoring | None]:
     g, c = parse_graph(_read(path))
     if colored and c is None:
         raise InvalidInputError(f"{path}: edge colors required")
-    if connected:
-        if g.vertex_count < 2:
-            raise InvalidInputError(f"{path}: graph must have at least two vertices")
-        if not is_connected(g):
-            raise InvalidInputError(f"{path}: graph must be connected")
     return g, c
 
 
@@ -68,7 +61,7 @@ def _write_witness(args: argparse.Namespace, g: Graph, coloring: EdgeColoring) -
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    g, _ = _load_graph(args.graph_file, connected=True)
+    g, _ = _load_graph(args.graph_file)
     # lambda and lambda+ are the smallest and largest Gomory-Hu tree flows
     flows = gomory_hu(g).flow[1:]
     lam, lam_plus = min(flows), max(flows)
@@ -81,7 +74,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_rd_exact(args: argparse.Namespace) -> int:
-    g, _ = _load_graph(args.graph_file, connected=True)
+    g, _ = _load_graph(args.graph_file)
     result = rd_exact(g, args.budget)
     _write_witness(args, g, result.witness)
     _emit(args,
@@ -92,7 +85,7 @@ def cmd_rd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_rd_check(args: argparse.Namespace) -> int:
-    g, c = _load_graph(args.graph_file, colored=True, connected=True)
+    g, c = _load_graph(args.graph_file, colored=True)
     assert c is not None
     check = is_rainbow_disconnected(g, c, node_budget=args.budget)
     if check.ok:
@@ -106,7 +99,7 @@ def cmd_rd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_cut(args: argparse.Namespace) -> int:
-    g, c = _load_graph(args.graph_file, colored=True, connected=True)
+    g, c = _load_graph(args.graph_file, colored=True)
     assert c is not None
     s = _internal_vertex(g, args.s, "--s")
     t = _internal_vertex(g, args.t, "--t")

@@ -13,8 +13,7 @@ from .graphs import EdgeColoring, Graph, components
 
 def is_proper(g: Graph, c: EdgeColoring) -> bool:
     """True iff no two edges sharing a vertex have the same color."""
-    if len(c.colors) != g.edge_count:
-        raise InvalidInputError("coloring length does not match edge count")
+    g.check_coloring(c)
     for adj in g.adjacency:
         seen: set[int] = set()
         for eid, _ in adj:
@@ -147,10 +146,11 @@ def find_proper_k_coloring(g: Graph, k: int,
 
     Edges are processed in descending max-endpoint-degree order (ties broken
     by edge id); the i-th processed edge may only take colors 0..min(i, k-1),
-    which breaks color permutation symmetry. Every color attempt costs one
-    node of the budget; exceeding it raises rather than guessing. The
-    depth-first search keeps its stack in ``assigned``, so its depth is not
-    bounded by the interpreter's recursion limit.
+    which breaks color permutation symmetry. Each color placed on an edge
+    costs one node of the budget (a color an adjacent edge holds is skipped
+    for free); exceeding it raises rather than guessing. The depth-first
+    search keeps its stack in ``assigned``, so its depth is not bounded by
+    the interpreter's recursion limit.
     """
     m = g.edge_count
     if m == 0:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .graphs import CutCertificate, Graph, certificate_from_side, is_connected
+from .graphs import CutCertificate, Graph, certificate_from_side
 
 
 def _max_flow(g: Graph, s: int, t: int) -> tuple[int, list[bool]]:
@@ -55,8 +55,7 @@ def local_edge_connectivity(g: Graph, s: int, t: int) -> tuple[int, CutCertifica
     from s in the final residual network.
     """
     g.check_pair(s, t)
-    if not is_connected(g):
-        raise InvalidInputError("graph must be connected")
+    g.check_connected()
     value, side = _max_flow(g, s, t)
     cert = certificate_from_side(
         g, frozenset(v for v in range(g.vertex_count) if side[v]))
@@ -71,10 +70,7 @@ def global_edge_connectivity(g: Graph) -> int:
     Fixing one endpoint suffices: the global minimum cut separates vertex 0
     from something.
     """
-    if g.vertex_count < 2:
-        raise InvalidInputError("graph must have at least two vertices")
-    if not is_connected(g):
-        raise InvalidInputError("graph must be connected")
+    g.check_connected()
     return min(_max_flow(g, 0, t)[0] for t in range(1, g.vertex_count))
 
 
@@ -158,10 +154,7 @@ class GomoryHuTree:
 def gomory_hu(g: Graph) -> GomoryHuTree:
     """Gomory-Hu tree via Gusfield's construction: n-1 max-flow calls on the
     original graph, no vertex contraction."""
-    if g.vertex_count < 1:
-        raise InvalidInputError("graph must have at least one vertex")
-    if not is_connected(g):
-        raise InvalidInputError("graph must be connected")
+    g.check_connected()
     n = g.vertex_count
     parent: list[int | None] = [None] + [0] * (n - 1)
     flow = [0] * n
@@ -190,7 +183,5 @@ def upper_edge_connectivity(g: Graph) -> int:
     is realized by its endpoints, and no pair can exceed the maximum since
     its connectivity is a minimum over a tree path.
     """
-    if g.vertex_count < 2:
-        raise InvalidInputError("graph must have at least two vertices")
-    tree = gomory_hu(g)
-    return max(tree.flow[1:])
+    g.check_connected()
+    return max(gomory_hu(g).flow[1:])

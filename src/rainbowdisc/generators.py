@@ -15,6 +15,9 @@ from .reduction import CnfFormula
 
 GRAPH_KINDS = ("cycle", "tree", "random_cubic", "prism", "petersen", "complete")
 
+# Pairing rounds random_cubic_graph tries before it gives up
+_CUBIC_ATTEMPTS = 10000
+
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
@@ -72,14 +75,14 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph(n, tuple((rng.randrange(i), i) for i in range(1, n)))
 
 
-def random_cubic_graph(n: int, seed: int, max_attempts: int = 10000) -> Graph:
+def random_cubic_graph(n: int, seed: int) -> Graph:
     """Pairing-model 3-regular graph: shuffle 3 stubs per vertex, pair them
-    up, retry on self-loops, parallel edges, or disconnection. Edges are
-    emitted in sorted order."""
+    up, retry on self-loops, parallel edges, or disconnection, at most
+    _CUBIC_ATTEMPTS times. Edges are emitted in sorted order."""
     if n < 4 or n % 2:
         raise InvalidInputError("random cubic graph needs even n >= 4")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_CUBIC_ATTEMPTS):
         stubs = [v for v in range(n) for _ in range(3)]
         rng.shuffle(stubs)
         pairs = [(stubs[i], stubs[i + 1]) for i in range(0, 3 * n, 2)]

@@ -80,6 +80,17 @@ class Graph:
             if not (0 <= e < self.edge_count):
                 raise InvalidInputError(f"edge id {e} out of range")
 
+    def check_connected(self) -> None:
+        """Rainbow cuts and rd are defined on nontrivial connected graphs."""
+        if self.vertex_count < 2:
+            raise InvalidInputError("graph must have at least two vertices")
+        if not is_connected(self):
+            raise InvalidInputError("graph must be connected")
+
+    def check_coloring(self, c: EdgeColoring) -> None:
+        if len(c.colors) != self.edge_count:
+            raise InvalidInputError("coloring length does not match edge count")
+
 
 @dataclass(frozen=True)
 class EdgeColoring:
@@ -127,68 +138,80 @@ class CutCertificate:
         object.__setattr__(self, "side_t", frozenset(self.side_t))
 
 
-def parse_graph(text: str) -> tuple[Graph, EdgeColoring | None]:
-    """Parse the graph file format.
-
-    Header ``p edge <n> <m>``, comment lines whose first token is ``c``,
-    then ``m`` edge lines ``e <u> <v>`` (1-indexed endpoints) or
-    ``e <u> <v> <color>``. Edge lines must be uniformly colored or
-    uniformly uncolored; returns the coloring only in the former case.
-    """
-    n = -1
-    declared = -1
-    edges: list[tuple[int, int]] = []
-    colors: list[int] = []
-    colored: bool | None = None
-    seen: set[tuple[int, int]] = set()
+def read_dimacs(text: str, kind: str,
+                error: type[InvalidInputError]) -> tuple[int, int, list[tuple[int, list[str]]]]:
+    """Header counts and body lines of a DIMACS-style file: the n and m of
+    its one header ``p <kind> <n> <m>`` (nonnegative, before any other line)
+    and the (line number, tokens) of each later line. Blank and ``c``
+    comment lines are skipped; errors raise ``error`` and name the line."""
+    header: tuple[int, int] | None = None
+    body: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0] == "c":
             continue
-        if parts[0] == "p":
-            if n >= 0:
-                raise GraphFormatError(f"line {lineno}: duplicate header")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise GraphFormatError(f"line {lineno}: malformed header")
-            try:
-                n, declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: malformed header") from None
-            if n < 0 or declared < 0:
-                raise GraphFormatError(f"line {lineno}: malformed header")
-        elif parts[0] == "e":
-            if n < 0:
-                raise GraphFormatError(f"line {lineno}: edge line before header")
-            if len(parts) not in (3, 4):
-                raise GraphFormatError(f"line {lineno}: malformed edge line")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-                color = int(parts[3]) if len(parts) == 4 else None
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: malformed edge line") from None
-            has_color = color is not None
-            if colored is None:
-                colored = has_color
-            elif colored != has_color:
-                raise GraphFormatError(
-                    f"line {lineno}: mixed colored and uncolored edge lines")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError(f"line {lineno}: endpoint out of range")
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
-            seen.add(key)
-            if has_color and color < 0:
-                raise GraphFormatError(f"line {lineno}: negative color")
-            edges.append((u - 1, v - 1))
-            if has_color:
-                colors.append(color)
-        else:
+        if parts[0] != "p":
+            if header is None:
+                raise error(f"line {lineno}: data before header")
+            body.append((lineno, parts))
+            continue
+        if header is not None:
+            raise error(f"line {lineno}: duplicate header")
+        try:
+            if len(parts) != 4 or parts[1] != kind:
+                raise ValueError
+            header = int(parts[2]), int(parts[3])
+            if min(header) < 0:
+                raise ValueError
+        except ValueError:
+            raise error(f"line {lineno}: malformed header") from None
+    if header is None:
+        raise error("missing header")
+    return header[0], header[1], body
+
+
+def parse_graph(text: str) -> tuple[Graph, EdgeColoring | None]:
+    """Parse the graph file format.
+
+    Header ``p edge <n> <m>`` (the rules of ``read_dimacs``), then ``m``
+    edge lines ``e <u> <v>`` (1-indexed endpoints) or ``e <u> <v> <color>``.
+    Edge lines must be uniformly colored or uniformly uncolored; returns the
+    coloring only in the former case.
+    """
+    n, declared, body = read_dimacs(text, "edge", GraphFormatError)
+    edges: list[tuple[int, int]] = []
+    colors: list[int] = []
+    colored: bool | None = None
+    seen: set[tuple[int, int]] = set()
+    for lineno, parts in body:
+        if parts[0] != "e":
             raise GraphFormatError(f"line {lineno}: unrecognized line type {parts[0]!r}")
-    if n < 0:
-        raise GraphFormatError("missing header")
+        if len(parts) not in (3, 4):
+            raise GraphFormatError(f"line {lineno}: malformed edge line")
+        try:
+            u, v = int(parts[1]), int(parts[2])
+            color = int(parts[3]) if len(parts) == 4 else None
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: malformed edge line") from None
+        has_color = color is not None
+        if colored is None:
+            colored = has_color
+        elif colored != has_color:
+            raise GraphFormatError(
+                f"line {lineno}: mixed colored and uncolored edge lines")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise GraphFormatError(f"line {lineno}: endpoint out of range")
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
+        seen.add(key)
+        if has_color and color < 0:
+            raise GraphFormatError(f"line {lineno}: negative color")
+        edges.append((u - 1, v - 1))
+        if has_color:
+            colors.append(color)
     if len(edges) != declared:
         raise GraphFormatError(
             f"header declares {declared} edges, found {len(edges)}")
@@ -199,8 +222,8 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring | None]:
 
 def serialize_graph(g: Graph, coloring: EdgeColoring | None = None) -> str:
     """Serialize in the graph file format; inverse of ``parse_graph``."""
-    if coloring is not None and len(coloring.colors) != g.edge_count:
-        raise InvalidInputError("coloring length does not match edge count")
+    if coloring is not None:
+        g.check_coloring(coloring)
     lines = [f"p edge {g.vertex_count} {g.edge_count}"]
     for eid, (u, v) in enumerate(g.edges):
         if coloring is None:

@@ -23,17 +23,6 @@ from .graphs import (CutCertificate, EdgeColoring, Graph, certificate_from_side,
                      components, is_connected, is_rainbow, reachable_from)
 
 
-def _check_colored(g: Graph, c: EdgeColoring) -> None:
-    if len(c.colors) != g.edge_count:
-        raise InvalidInputError("coloring length does not match edge count")
-
-
-def _check_pair(g: Graph, s: int, t: int) -> None:
-    g.check_pair(s, t)
-    if not is_connected(g):
-        raise InvalidInputError("graph must be connected")
-
-
 def _check_cubic_3ec(g: Graph) -> None:
     if g.vertex_count == 0 or any(d != 3 for d in g.degrees):
         raise InvalidInputError("graph is not cubic")
@@ -58,8 +47,9 @@ def find_rainbow_cut_fixed_k(g: Graph, c: EdgeColoring, s: int, t: int,
     separating candidate is minimized to the boundary of s's component,
     which stays rainbow because it is a subset.
     """
-    _check_colored(g, c)
-    _check_pair(g, s, t)
+    g.check_coloring(c)
+    g.check_pair(s, t)
+    g.check_connected()
     if k < 1:
         raise InvalidInputError("k must be positive")
     if c.color_count > k:
@@ -99,8 +89,9 @@ def find_rainbow_cut_exact(g: Graph, c: EdgeColoring, s: int, t: int,
     spends at most 2n * prod(|color class| + 1) nodes: polynomial for a
     fixed number of colors, like find_rainbow_cut_fixed_k.
     """
-    _check_colored(g, c)
-    _check_pair(g, s, t)
+    g.check_coloring(c)
+    g.check_pair(s, t)
+    g.check_connected()
     dense, distinct = _dense_colors(c)
     return _rainbow_cut(g, c, dense, distinct, s, t, node_budget)
 
@@ -206,11 +197,8 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
     search on its own. Pairs are visited in lexicographic order and the
     first failure is reported.
     """
-    _check_colored(g, c)
-    if g.vertex_count < 2:
-        raise InvalidInputError("graph must have at least two vertices")
-    if not is_connected(g):
-        raise InvalidInputError("graph must be connected")
+    g.check_coloring(c)
+    g.check_connected()
     dense, distinct = _dense_colors(c)
     certificates: dict[tuple[int, int], CutCertificate] = {}
     for s in range(g.vertex_count):
@@ -325,10 +313,7 @@ def rd_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> RdResult:
     is exhaustive per level and meant for small graphs; node counts grow as
     2^(n-1) per searched level.
     """
-    if g.vertex_count < 2:
-        raise InvalidInputError("graph must have at least two vertices")
-    if not is_connected(g):
-        raise InvalidInputError("graph must be connected")
+    g.check_connected()
     # lambda and lambda+ are the smallest and largest Gomory-Hu tree flows
     flows = gomory_hu(g).flow[1:]
     lam, lam_plus = min(flows), max(flows)
@@ -421,7 +406,7 @@ def split_along_rainbow_cut(g: Graph, c: EdgeColoring,
     part's fresh vertex has degree 3 with the three distinct cut colors, so
     properness of both parts at every shared vertex matches properness in g.
     """
-    _check_colored(g, c)
+    g.check_coloring(c)
     cut_ids = sorted(set(cut))
     if len(cut_ids) != 3:
         raise InvalidInputError("cut must consist of exactly three distinct edges")
@@ -483,7 +468,7 @@ def certify_rd3_coloring_proper(g: Graph, c: EdgeColoring, *,
     final parts hold n + 2s >= 4(s + 1) vertices.
     """
     _check_cubic_3ec(g)
-    _check_colored(g, c)
+    g.check_coloring(c)
     if c.color_count > 3:
         raise InvalidInputError("coloring uses more than 3 distinct colors")
     check = is_rainbow_disconnected(g, c, node_budget=node_budget)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_NODE_BUDGET, CnfFormatError, InvalidInputError
 from .graphs import (CutCertificate, EdgeColoring, Graph, certificate_from_side,
-                     check_cut_certificate, is_rainbow)
+                     check_cut_certificate, is_rainbow, read_dimacs)
 from .rainbow import find_rainbow_cut_exact
 
 MAX_BRUTEFORCE_VARIABLES = 24
@@ -78,44 +78,22 @@ class CnfFormula:
 
 
 def parse_dimacs_cnf(text: str) -> CnfFormula:
-    """Parse DIMACS CNF: ``p cnf <n> <m>`` then m clauses of 3 distinct
-    variables, each terminated by 0; ``c`` lines are comments."""
-    n = -1
-    declared = -1
-    tokens: list[str] = []
-    for raw in text.splitlines():
-        parts = raw.split()
-        if not parts or parts[0] == "c":
-            continue
-        if parts[0] == "p":
-            if n >= 0:
-                raise CnfFormatError("duplicate header")
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise CnfFormatError("malformed header")
-            try:
-                n, declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise CnfFormatError("malformed header") from None
-            if n < 0 or declared < 0:
-                raise CnfFormatError("malformed header")
-            continue
-        if n < 0:
-            raise CnfFormatError("clause data before header")
-        tokens.extend(parts)
-    if n < 0:
-        raise CnfFormatError("missing header")
+    """Parse DIMACS CNF: header ``p cnf <n> <m>`` (see ``read_dimacs``), then
+    m clauses of 3 distinct variables, each terminated by 0."""
+    n, declared, body = read_dimacs(text, "cnf", CnfFormatError)
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError:
-            raise CnfFormatError(f"invalid literal {tok!r}") from None
-        if lit == 0:
-            clauses.append(tuple(current))
-            current = []
-        else:
-            current.append(lit)
+    for lineno, parts in body:
+        for tok in parts:
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise CnfFormatError(f"line {lineno}: invalid literal {tok!r}") from None
+            if lit == 0:
+                clauses.append(tuple(current))
+                current = []
+            else:
+                current.append(lit)
     if current:
         raise CnfFormatError("unterminated clause")
     if len(clauses) != declared:

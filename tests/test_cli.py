@@ -1,10 +1,17 @@
 """End-to-end command line tests driven through main()."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rainbowdisc import EdgeColoring, Graph, is_proper, parse_graph, serialize_graph
+from rainbowdisc import (CnfFormula, EdgeColoring, Graph, is_proper, parse_graph,
+                         serialize_dimacs_cnf, serialize_graph)
 from rainbowdisc.cli import main
 from rainbowdisc.generators import (complete_graph, cycle_graph, petersen_graph,
                                     random_cubic_graph)
@@ -284,3 +291,92 @@ class TestTopLevel:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "rainbowdisc 0.1.0"
+
+
+GRAPH_COMMANDS = ("bounds", "rd-exact", "rd-check", "cut", "cubic3", "chi")
+CNF_COMMANDS = ("reduce-sat", "verify-reduction")
+# tokens that the mutations splice in: header and line kinds, small counts,
+# out-of-range and non-numeric values
+TOKENS = ("p", "edge", "cnf", "c", "e", "0", "1", "2", "3", "9", "-1", "x")
+
+
+@st.composite
+def graph_texts(draw, colored):
+    # a random tree plus extra edges, so that most files pass the connectivity
+    # check until a mutation breaks them
+    n = draw(st.integers(min_value=0, max_value=9))
+    edges = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [p for p in combinations(range(n), 2) if p not in edges]
+    edges += draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14 - len(edges))
+                  if pairs else st.just([]))
+    colors = draw(st.lists(st.integers(min_value=0, max_value=4),
+                           min_size=len(edges), max_size=len(edges))) if colored else None
+    g = Graph(n, tuple(edges))
+    return serialize_graph(g, EdgeColoring(tuple(colors)) if colors else None)
+
+
+@st.composite
+def cnf_texts(draw):
+    n = draw(st.integers(min_value=3, max_value=9))
+    literal_triples = st.lists(st.integers(min_value=1, max_value=n), min_size=3,
+                               max_size=3, unique=True)
+    clauses = draw(st.lists(literal_triples.flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs))), max_size=14))
+    return serialize_dimacs_cnf(CnfFormula(n, tuple(clauses)))
+
+
+@st.composite
+def mutated(draw, texts):
+    """A valid file with up to three lines dropped, doubled, inserted, or
+    with one token replaced or appended."""
+    lines = [line.split() for line in draw(texts).splitlines()]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2, 3)))):
+        op = draw(st.sampled_from(("drop", "double", "insert", "replace", "append")))
+        i = draw(st.integers(min_value=0, max_value=len(lines)))
+        token = st.sampled_from(TOKENS)
+        if op == "insert":
+            lines.insert(i, draw(st.lists(token, max_size=4)))
+        elif i == len(lines):
+            continue
+        elif op == "drop":
+            del lines[i]
+        elif op == "double":
+            lines.insert(i, list(lines[i]))
+        elif op == "append":
+            lines[i].append(draw(token))
+        elif lines[i]:
+            lines[i][draw(st.integers(min_value=0, max_value=len(lines[i]) - 1))] = draw(token)
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@st.composite
+def requests(draw, command):
+    text = draw(mutated(cnf_texts() if command in CNF_COMMANDS
+                        else graph_texts(colored=command in ("cut", "rd-check"))))
+    flags = []
+    if command == "cut":
+        flags += ["--s", str(draw(st.integers(min_value=0, max_value=10))),
+                  "--t", str(draw(st.integers(min_value=0, max_value=10)))]
+    if command != "reduce-sat":
+        flags += ["--budget", str(draw(st.integers(min_value=0, max_value=10**4)))]
+    return text, flags + draw(st.sampled_from(([], ["--json"])))
+
+
+@pytest.mark.parametrize("command", GRAPH_COMMANDS + CNF_COMMANDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_file_commands_keep_the_exit_code_contract(command, data):
+    # exit codes 0-4 only, and any error is one "error: " line on stderr
+    text, flags = data.draw(requests(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if command == "reduce-sat":
+            flags = flags + ["-o", os.path.join(tmp, "out.graph")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path] + flags)
+    assert code in range(5)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))

@@ -168,7 +168,7 @@ class TestSearchDepth:
     @pytest.mark.parametrize("g, nodes", [(petersen_graph(), 55), (flower_snark(5), 1183)],
                              ids=["petersen", "J5"])
     def test_class_two_proof_node_count(self, g, nodes):
-        # the exact number of color attempts that proves no 3-coloring
+        # the exact number of colors placed in the search that proves no 3-coloring
         assert find_proper_k_coloring(g, 3, nodes) is None
         with pytest.raises(BudgetExceededError):
             find_proper_k_coloring(g, 3, nodes - 1)

@@ -124,8 +124,10 @@ class TestGomoryHu:
                     assert tree.connectivity(s, t) == local_edge_connectivity(g, s, t)[0]
 
     def test_rejects_disconnected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="connected"):
             gomory_hu(Graph(3, ((0, 1),)))
+        with pytest.raises(InvalidInputError, match="two vertices"):
+            gomory_hu(Graph(1, ()))
 
     def test_min_flow_is_global_connectivity(self):
         graphs = [g for _, g in cubic_3ec_corpus()]

@@ -6,10 +6,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rainbowdisc import (CutCertificate, EdgeColoring, Graph, GraphFormatError,
-                         InvalidInputError, certificate_from_side,
+from rainbowdisc import (CnfFormatError, CutCertificate, EdgeColoring, Graph,
+                         GraphFormatError, InvalidInputError, certificate_from_side,
                          check_cut_certificate, components, is_connected,
                          is_rainbow, parse_graph, separates, serialize_graph)
+from rainbowdisc.graphs import read_dimacs
 from corpus import random_connected_graph
 from oracles import bipartition_sides, crossing_edges
 
@@ -50,6 +51,20 @@ class TestGraphType:
         with pytest.raises(InvalidInputError):
             EdgeColoring((0, 3), palette=3)
 
+    def test_check_connected(self):
+        for g in (Graph(0, ()), Graph(1, ())):
+            with pytest.raises(InvalidInputError, match="at least two vertices"):
+                g.check_connected()
+        with pytest.raises(InvalidInputError, match="graph must be connected"):
+            Graph(3, ((0, 1),)).check_connected()
+        p3().check_connected()
+
+    def test_check_coloring(self):
+        p3().check_coloring(EdgeColoring((0, 5)))
+        for colors in ((0,), (0, 1, 2)):
+            with pytest.raises(InvalidInputError, match="coloring length"):
+                p3().check_coloring(EdgeColoring(colors))
+
 
 class TestParse:
     def test_uncolored_path(self):
@@ -78,12 +93,21 @@ class TestParse:
             parse_graph("p edge 3 2\ne 1 2 1\ne 2 3\n")
 
     def test_missing_header(self):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match="line 1: data before header"):
             parse_graph("e 1 2\n")
+        with pytest.raises(GraphFormatError, match="missing header"):
+            parse_graph("c no header\n\n")
 
     def test_malformed_header(self):
-        with pytest.raises(GraphFormatError):
-            parse_graph("p graph 2 1\ne 1 2\n")
+        for text in ("p graph 2 1\ne 1 2\n", "p edge 2\n", "p edge 2 -1\n",
+                     "p cnf 2 1\ne 1 2\n"):
+            with pytest.raises(GraphFormatError, match="line 1: malformed header"):
+                parse_graph(text)
+
+    def test_read_dimacs_body_lines(self):
+        text = "c comment\np cnf 3 1\n\n1 2\nc inside\n3 0\n"
+        assert read_dimacs(text, "cnf", CnfFormatError) == (
+            3, 1, [(4, ["1", "2"]), (6, ["3", "0"])])
 
     def test_endpoint_out_of_range(self):
         with pytest.raises(GraphFormatError):

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 import rainbowdisc.coloring as coloring_module
+import rainbowdisc.graphs as graphs_module
 import rainbowdisc.rainbow as rainbow_module
 
 from rainbowdisc import (DEFAULT_NODE_BUDGET, BudgetExceededError, CnfFormula,
@@ -216,7 +217,8 @@ class TestDisconnectionCheck:
             calls.append(g)
             return is_connected(g)
 
-        monkeypatch.setattr(rainbow_module, "is_connected", counting_is_connected)
+        # Graph.check_connected looks is_connected up in the graphs module
+        monkeypatch.setattr(graphs_module, "is_connected", counting_is_connected)
         assert is_rainbow_disconnected(prism_graph(), PRISM_PROPER).ok
         assert len(calls) == 1
 

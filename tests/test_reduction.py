@@ -61,15 +61,18 @@ class TestDimacs:
             assert parse_dimacs_cnf(serialize_dimacs_cnf(f)) == f
 
     def test_missing_header(self):
-        with pytest.raises(CnfFormatError, match="header"):
-            parse_dimacs_cnf("1 2 3 0\n")
+        with pytest.raises(CnfFormatError, match="line 2: data before header"):
+            parse_dimacs_cnf("c clause first\n1 2 3 0\n")
+        with pytest.raises(CnfFormatError, match="missing header"):
+            parse_dimacs_cnf("")
 
     def test_malformed_header(self):
-        with pytest.raises(CnfFormatError, match="header"):
-            parse_dimacs_cnf("p cnf three 1\n1 2 3 0\n")
+        for text in ("p cnf three 1\n1 2 3 0\n", "p edge 3 1\n1 2 3 0\n"):
+            with pytest.raises(CnfFormatError, match="line 1: malformed header"):
+                parse_dimacs_cnf(text)
 
     def test_duplicate_header(self):
-        with pytest.raises(CnfFormatError, match="duplicate"):
+        with pytest.raises(CnfFormatError, match="line 2: duplicate header"):
             parse_dimacs_cnf("p cnf 3 1\np cnf 3 1\n1 2 3 0\n")
 
     def test_unterminated_clause(self):
@@ -81,7 +84,7 @@ class TestDimacs:
             parse_dimacs_cnf("p cnf 3 2\n1 2 3 0\n")
 
     def test_bad_literal_token(self):
-        with pytest.raises(CnfFormatError, match="invalid literal"):
+        with pytest.raises(CnfFormatError, match="line 2: invalid literal"):
             parse_dimacs_cnf("p cnf 3 1\n1 two 3 0\n")
 
     def test_repeated_variable_in_clause(self):
