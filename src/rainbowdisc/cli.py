@@ -51,6 +51,13 @@ def _internal_vertex(g: Graph, label: int, flag: str) -> int:
     return label - 1
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _emit(args: argparse.Namespace, data: dict, text: str) -> None:
     print(json.dumps(data, indent=2) if args.json else text)
 
@@ -203,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, output_help: str | None = None) -> None:
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of text")
-        p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                       help="node budget for exact searches")
+        p.add_argument("--budget", type=nonnegative_int, default=DEFAULT_NODE_BUDGET,
+                       help="node budget for exact searches (bounds runs no "
+                            "search but takes the flag, as every file command does)")
         if output_help:
             p.add_argument("--output", "-o", help=output_help)
 

@@ -142,7 +142,8 @@ def proper_coloring_delta_plus_one(g: Graph) -> EdgeColoring:
 
 def find_proper_k_coloring(g: Graph, k: int,
                            node_budget: int = DEFAULT_NODE_BUDGET) -> EdgeColoring | None:
-    """Backtracking search for a proper edge coloring with k colors.
+    """Backtracking search for a proper edge coloring with k colors (on an
+    edgeless graph, the empty coloring).
 
     Edges are processed in descending max-endpoint-degree order (ties broken
     by edge id); the i-th processed edge may only take colors 0..min(i, k-1),
@@ -153,10 +154,6 @@ def find_proper_k_coloring(g: Graph, k: int,
     the interpreter's recursion limit.
     """
     m = g.edge_count
-    if m == 0:
-        raise InvalidInputError("graph has no edges")
-    if k <= 0:
-        return None
     edges = g.edges
     degs = g.degrees
     order = sorted(range(m),

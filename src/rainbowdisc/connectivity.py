@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
-from .graphs import CutCertificate, Graph, certificate_from_side
+from .graphs import CutCertificate, Graph, certificate_from_side, check_pair
 
 
 def _max_flow(g: Graph, s: int, t: int) -> tuple[int, list[bool]]:
@@ -54,7 +53,7 @@ def local_edge_connectivity(g: Graph, s: int, t: int) -> tuple[int, CutCertifica
     The certificate is canonical: side_s is the set of vertices reachable
     from s in the final residual network.
     """
-    g.check_pair(s, t)
+    check_pair(g.vertex_count, s, t)
     g.check_connected()
     value, side = _max_flow(g, s, t)
     cert = certificate_from_side(
@@ -128,11 +127,7 @@ class GomoryHuTree:
 
     def connectivity(self, s: int, t: int) -> int:
         """Minimum flow value along the s-t tree path."""
-        n = len(self.parent)
-        if not (0 <= s < n and 0 <= t < n):
-            raise InvalidInputError("vertex out of range")
-        if s == t:
-            raise InvalidInputError("s and t must differ")
+        check_pair(len(self.parent), s, t)
         chain_min: dict[int, int | None] = {}
         v: int | None = s
         cur: int | None = None
@@ -183,5 +178,4 @@ def upper_edge_connectivity(g: Graph) -> int:
     is realized by its endpoints, and no pair can exceed the maximum since
     its connectivity is a minimum over a tree path.
     """
-    g.check_connected()
     return max(gomory_hu(g).flow[1:])

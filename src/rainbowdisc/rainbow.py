@@ -20,7 +20,7 @@ from .coloring import chromatic_index_exact, is_proper
 from .connectivity import global_edge_connectivity, gomory_hu
 from .errors import DEFAULT_NODE_BUDGET, InvalidInputError, NodeBudget
 from .graphs import (CutCertificate, EdgeColoring, Graph, certificate_from_side,
-                     components, is_connected, is_rainbow, reachable_from)
+                     check_pair, components, is_connected, is_rainbow, reachable_from)
 
 
 def _check_cubic_3ec(g: Graph) -> None:
@@ -38,9 +38,10 @@ def _dense_colors(c: EdgeColoring) -> tuple[list[int], int]:
     return [ids[col] for col in c.colors], len(ids)
 
 
-def find_rainbow_cut_fixed_k(g: Graph, c: EdgeColoring, s: int, t: int,
-                             k: int) -> CutCertificate | None:
-    """Rainbow s-t cut search for colorings with at most k distinct colors.
+def find_rainbow_cut_fixed_k(g: Graph, c: EdgeColoring, s: int,
+                             t: int) -> CutCertificate | None:
+    """The paper's rainbow s-t cut search for a coloring with k distinct
+    colors, in O(m^k) candidate cuts; k is read from c.
 
     A rainbow cut picks at most one edge per color class, so all candidate
     cuts are enumerated as one choice (or skip) per class. The first
@@ -48,13 +49,8 @@ def find_rainbow_cut_fixed_k(g: Graph, c: EdgeColoring, s: int, t: int,
     which stays rainbow because it is a subset.
     """
     g.check_coloring(c)
-    g.check_pair(s, t)
+    check_pair(g.vertex_count, s, t)
     g.check_connected()
-    if k < 1:
-        raise InvalidInputError("k must be positive")
-    if c.color_count > k:
-        raise InvalidInputError(
-            f"coloring uses {c.color_count} distinct colors, more than k={k}")
     classes: dict[int, list[int]] = {}
     for eid, col in enumerate(c.colors):
         classes.setdefault(col, []).append(eid)
@@ -90,7 +86,7 @@ def find_rainbow_cut_exact(g: Graph, c: EdgeColoring, s: int, t: int,
     fixed number of colors, like find_rainbow_cut_fixed_k.
     """
     g.check_coloring(c)
-    g.check_pair(s, t)
+    check_pair(g.vertex_count, s, t)
     g.check_connected()
     dense, distinct = _dense_colors(c)
     return _rainbow_cut(g, c, dense, distinct, s, t, node_budget)
@@ -410,7 +406,6 @@ def split_along_rainbow_cut(g: Graph, c: EdgeColoring,
     cut_ids = sorted(set(cut))
     if len(cut_ids) != 3:
         raise InvalidInputError("cut must consist of exactly three distinct edges")
-    g.check_edge_ids(cut_ids)
     if not is_rainbow(c, cut_ids):
         raise InvalidInputError("cut is not rainbow")
     endpoints = [v for eid in cut_ids for v in g.edges[eid]]

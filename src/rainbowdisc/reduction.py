@@ -214,8 +214,6 @@ def build_cut_from_assignment(artifact: ReductionArtifact,
     and the cut is rainbow.
     """
     f = artifact.formula
-    if len(assignment.values) != f.variable_count:
-        raise InvalidInputError("assignment length does not match variable count")
     if not f.evaluate(assignment):
         raise InvalidInputError("assignment does not satisfy the formula")
     vt = artifact.vertex_table
@@ -242,9 +240,10 @@ def extract_assignment_from_cut(artifact: ReductionArtifact,
     """Read a satisfying assignment off a validated rainbow s-t cut.
 
     After minimizing to the boundary of side_s, variable j is true exactly
-    when x_j^0 stays on the s side. Any rainbow cut admits this reading: a
-    clause with all three literals falsified by it would need three
-    crossings from the clause's two shared colors.
+    when x_j^0 stays on the s side (its two s-edges share color r_j, so at
+    most one is cut). Any rainbow cut admits this reading: a clause with all
+    three literals falsified by it would need three crossings from the
+    clause's two shared colors.
     """
     g, c = artifact.graph, artifact.coloring
     check_cut_certificate(g, cut, artifact.s, artifact.t)
@@ -252,16 +251,8 @@ def extract_assignment_from_cut(artifact: ReductionArtifact,
         raise InvalidInputError("cut is not rainbow")
     f = artifact.formula
     vt = artifact.vertex_table
-    side = cut.side_s
-    values: list[bool] = []
-    for j in range(1, f.variable_count + 1):
-        v0, v1 = vt[f"x{j}^0"], vt[f"x{j}^1"]
-        if v0 not in side and v1 not in side:
-            raise InvalidInputError(
-                f"both s-edges of variable {j} are cut; certificate does not "
-                "follow the encoding")
-        values.append(v0 in side)
-    assignment = Assignment(tuple(values))
+    assignment = Assignment(tuple(vt[f"x{j}^0"] in cut.side_s
+                                  for j in range(1, f.variable_count + 1)))
     if not f.evaluate(assignment):
         raise InvalidInputError("extracted assignment does not satisfy the formula")
     return assignment

@@ -137,7 +137,7 @@ def test_criterion_6_fixed_k_matches_enumeration(report):
         c = random_coloring(rng, g.edge_count, rng.randint(1, 4))
         s = rng.randrange(g.vertex_count)
         t = rng.choice([v for v in range(g.vertex_count) if v != s])
-        cert = find_rainbow_cut_fixed_k(g, c, s, t, 4)
+        cert = find_rainbow_cut_fixed_k(g, c, s, t)
         expected = rainbow_cut_exists_oracle(g, c, s, t)
         if (cert is not None) != expected:
             ok = False

@@ -191,6 +191,11 @@ class TestChi:
         assert main(["chi", "--budget", "1", path]) == 4
         assert "budget" in capsys.readouterr().err
 
+    def test_edgeless_is_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, "edgeless.graph", "p edge 3 0\n")
+        assert main(["chi", path]) == 3
+        assert capsys.readouterr().err == "error: graph has no edges\n"
+
     @pytest.mark.parametrize("n, isolated, chi", [(2000, 0, 2), (2001, 0, 3), (2001, 1, 3)],
                              ids=["2000-2", "2001-3", "2001+isolated-3"])
     def test_long_cycles(self, tmp_path, capsys, n, isolated, chi):
@@ -271,6 +276,18 @@ class TestGen:
 
     def test_unknown_kind_is_usage_error(self):
         assert main(["gen", "moebius"]) == 2
+
+
+@pytest.mark.parametrize("command", ("bounds", "rd-exact", "rd-check", "cut", "cubic3",
+                                     "chi", "verify-reduction"))
+def test_negative_budget_is_usage_error(tmp_path, capsys, command):
+    path = (write(tmp_path, "sat.cnf", CNF_SAT) if command == "verify-reduction"
+            else write(tmp_path, "c4.graph", C4_ALT))
+    flags = ["--s", "1", "--t", "3"] if command == "cut" else []
+    assert main([command, path, "--budget", "-1"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --budget" in captured.err
 
 
 class TestTopLevel:

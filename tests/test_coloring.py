@@ -142,6 +142,12 @@ class TestChromaticIndex:
             chromatic_index_exact(Graph(2, ()))
 
 
+def test_find_proper_k_coloring_edgeless_graph():
+    # the empty coloring is proper; chromatic_index_exact still rejects the
+    # graph, through proper_coloring_delta_plus_one
+    assert find_proper_k_coloring(Graph(3, ()), 2) == EdgeColoring((), 2)
+
+
 def test_find_proper_k_coloring_exhaustive_failure():
     assert find_proper_k_coloring(cycle_graph(5), 2) is None
     found = find_proper_k_coloring(cycle_graph(6), 2)

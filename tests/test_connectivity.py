@@ -123,6 +123,16 @@ class TestGomoryHu:
                 for t in range(s + 1, n):
                     assert tree.connectivity(s, t) == local_edge_connectivity(g, s, t)[0]
 
+    def test_connectivity_rejects_bad_pairs(self):
+        # the same rule and messages as a Graph's vertex pairs
+        tree = gomory_hu(cycle_graph(4))
+        with pytest.raises(InvalidInputError, match="^s and t must differ$"):
+            tree.connectivity(2, 2)
+        with pytest.raises(InvalidInputError, match="^vertex 4 out of range$"):
+            tree.connectivity(0, 4)
+        with pytest.raises(InvalidInputError, match="^vertex -1 out of range$"):
+            tree.connectivity(-1, 1)
+
     def test_rejects_disconnected(self):
         with pytest.raises(InvalidInputError, match="connected"):
             gomory_hu(Graph(3, ((0, 1),)))

@@ -282,6 +282,38 @@ class TestCertificates:
                 check_cut_certificate(g, cert, 0, t_candidates[0])
 
 
+@settings(max_examples=300, derandomize=True)
+@given(graphs(), st.data())
+def test_check_cut_certificate_accepts_exactly_separations(g, data):
+    # accepted exactly when the sides partition V with s and t apart and
+    # every crossing edge is cut; every accepted certificate separates s from
+    # t, so a walk over the remaining graph could never reject one
+    if g.vertex_count < 2:
+        return
+    vertices = set(range(g.vertex_count))
+    s, t = data.draw(st.lists(st.sampled_from(sorted(vertices)), min_size=2,
+                              max_size=2, unique=True))
+    side_s = (data.draw(st.sets(st.sampled_from(sorted(vertices)))) | {s}) - {t}
+    # a partition, or one vertex off it: missing from both sides or on both
+    side_t = (vertices - side_s) ^ data.draw(
+        st.sets(st.sampled_from(sorted(vertices)), max_size=1))
+    crossing = set(crossing_edges(g, side_s))
+    ids = st.integers(min_value=0, max_value=max(g.edge_count - 1, 0))
+    extra = data.draw(st.sets(ids, max_size=min(2, g.edge_count)))
+    dropped = data.draw(st.sets(ids, max_size=min(1, g.edge_count)))
+    cut = (crossing | extra) - dropped
+    cert = CutCertificate(frozenset(cut), frozenset(side_s), frozenset(side_t))
+    valid = (s in side_s and t in side_t and not side_s & side_t
+             and side_s | side_t == vertices and crossing <= cut)
+    try:
+        check_cut_certificate(g, cert, s, t)
+    except InvalidInputError:
+        assert not valid
+    else:
+        assert valid
+        assert separates(g, cert.cut_edges, s, t)
+
+
 def test_is_connected():
     assert is_connected(p3()) is True
     assert is_connected(Graph(2, ())) is False

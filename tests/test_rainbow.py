@@ -62,32 +62,27 @@ def searched_levels(monkeypatch):
 class TestFixedK:
     def test_path_separates_with_one_edge(self):
         g = Graph(3, ((0, 1), (1, 2)))
-        cert = find_rainbow_cut_fixed_k(g, EdgeColoring((1, 1)), 0, 2, 2)
+        cert = find_rainbow_cut_fixed_k(g, EdgeColoring((1, 1)), 0, 2)
         assert cert is not None
         assert len(cert.cut_edges) == 1
 
     def test_mono_c4_has_none(self):
         g = cycle_graph(4)
-        assert find_rainbow_cut_fixed_k(g, mono(g), 0, 2, 1) is None
+        assert find_rainbow_cut_fixed_k(g, mono(g), 0, 2) is None
 
     def test_alternating_c4(self):
         g = cycle_graph(4)
         c = EdgeColoring((1, 2, 1, 2))
-        cert = find_rainbow_cut_fixed_k(g, c, 0, 2, 2)
+        cert = find_rainbow_cut_fixed_k(g, c, 0, 2)
         assert cert is not None
         assert len(cert.cut_edges) == 2
         assert {c.colors[e] for e in cert.cut_edges} == {1, 2}
         assert rainbow_cut_exists_oracle(g, c, 0, 2)
 
-    def test_k_smaller_than_palette_rejected(self):
-        g = cycle_graph(4)
-        with pytest.raises(InvalidInputError):
-            find_rainbow_cut_fixed_k(g, EdgeColoring((1, 2, 1, 2)), 0, 2, 1)
-
     def test_same_endpoints_rejected(self):
         g = cycle_graph(4)
         with pytest.raises(InvalidInputError):
-            find_rainbow_cut_fixed_k(g, mono(g), 1, 1, 1)
+            find_rainbow_cut_fixed_k(g, mono(g), 1, 1)
 
 
 class TestExact:
@@ -132,7 +127,7 @@ class TestExact:
             s = rng.randrange(g.vertex_count)
             t = rng.choice([v for v in range(g.vertex_count) if v != s])
             via_exact = find_rainbow_cut_exact(g, c, s, t)
-            via_fixed = find_rainbow_cut_fixed_k(g, c, s, t, c.color_count)
+            via_fixed = find_rainbow_cut_fixed_k(g, c, s, t)
             expected = rainbow_cut_exists_oracle(g, c, s, t)
             assert (via_exact is not None) == expected
             assert (via_fixed is not None) == expected
@@ -154,7 +149,7 @@ class TestExact:
             for col in set(c.colors):
                 bound *= c.colors.count(col) + 1
             via_exact = find_rainbow_cut_exact(g, c, s, t, node_budget=bound)
-            via_fixed = find_rainbow_cut_fixed_k(g, c, s, t, c.color_count)
+            via_fixed = find_rainbow_cut_fixed_k(g, c, s, t)
             assert (via_exact is None) == (via_fixed is None)
 
 
@@ -198,7 +193,7 @@ class TestDisconnectionCheck:
             exact_certs = {}
             for s in range(g.vertex_count):
                 for t in range(s + 1, g.vertex_count):
-                    via_fixed = find_rainbow_cut_fixed_k(g, c, s, t, c.color_count)
+                    via_fixed = find_rainbow_cut_fixed_k(g, c, s, t)
                     via_exact = find_rainbow_cut_exact(g, c, s, t)
                     assert (via_fixed is None) == (via_exact is None)
                     if via_fixed is None:

@@ -7,6 +7,7 @@ import pytest
 
 from rainbowdisc import (Assignment, CnfFormatError, CnfFormula, CutCertificate,
                          InvalidInputError, build_cut_from_assignment,
+                         certificate_from_side,
                          build_reduction, extract_assignment_from_cut,
                          find_rainbow_cut_exact, gen_cnf, is_rainbow,
                          parse_dimacs_cnf, reduction_sidecar,
@@ -226,6 +227,17 @@ class TestExtract:
             e for e, (u, v) in enumerate(art.graph.edges) if (u in side) != (v in side))
         cert = CutCertificate(crossing, side, rest)
         with pytest.raises(InvalidInputError, match="not rainbow"):
+            extract_assignment_from_cut(art, cert)
+        # a satisfying cut with variable 1's x-vertex moved off the s side
+        # cuts both s-edges of variable 1, which share color r_1
+        vt = art.vertex_table
+        side = (build_cut_from_assignment(art, Assignment((True, False, False))).side_s
+                - {vt["x1^0"], vt["x1^1"]})
+        cert = certificate_from_side(art.graph, side)
+        s_edges = {e for e, (u, v) in enumerate(art.graph.edges)
+                   if {u, v} in ({art.s, vt["x1^0"]}, {art.s, vt["x1^1"]})}
+        assert len(s_edges) == 2 and s_edges <= cert.cut_edges
+        with pytest.raises(InvalidInputError, match="^cut is not rainbow$"):
             extract_assignment_from_cut(art, cert)
 
     def test_malformed_certificate_rejected(self):
