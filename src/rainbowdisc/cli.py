@@ -69,9 +69,7 @@ def _write_witness(args: argparse.Namespace, g: Graph, coloring: EdgeColoring) -
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args.graph_file)
-    # lambda and lambda+ are the smallest and largest Gomory-Hu tree flows
-    flows = gomory_hu(g).flow[1:]
-    lam, lam_plus = min(flows), max(flows)
+    lam, lam_plus = gomory_hu(g).connectivity_range()
     delta = g.max_degree
     _emit(args,
           {"lambda": lam, "lambda_plus": lam_plus, "delta": delta,
@@ -211,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of text")
         p.add_argument("--budget", type=nonnegative_int, default=DEFAULT_NODE_BUDGET,
-                       help="node budget for exact searches (bounds runs no "
+                       help="node budget per exhaustive search (bounds runs no "
                             "search but takes the flag, as every file command does)")
         if output_help:
             p.add_argument("--output", "-o", help=output_help)

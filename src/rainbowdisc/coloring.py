@@ -309,10 +309,8 @@ def chromatic_index_exact(g: Graph,
     rules are _provably_class_two. Otherwise a Kempe-chain walk from the
     Delta+1 coloring looks for a class-1 witness within a fixed bound of 40m
     steps (_kempe_walk_delta_coloring), spending no node of the budget. Only
-    if it fails does find_proper_k_coloring search exhaustively, with the
-    full node_budget, to find a witness or prove class 2. The budget is this
-    call's own: rd_exact, which settles its level max_degree here, passes
-    its node_budget in again, apart from the nodes its level searches spend.
+    if it fails does find_proper_k_coloring search exhaustively, with
+    node_budget, to find a witness or prove class 2.
     """
     delta = g.max_degree
     start = proper_coloring_delta_plus_one(g)

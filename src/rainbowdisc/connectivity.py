@@ -3,6 +3,7 @@ and upper edge connectivity, and Gomory-Hu trees."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graphs import CutCertificate, Graph, certificate_from_side, check_pair
@@ -128,22 +129,26 @@ class GomoryHuTree:
     def connectivity(self, s: int, t: int) -> int:
         """Minimum flow value along the s-t tree path."""
         check_pair(len(self.parent), s, t)
-        chain_min: dict[int, int | None] = {}
+        low_from_s: dict[int, float] = {}
+        low = math.inf
         v: int | None = s
-        cur: int | None = None
         while v is not None:
-            chain_min[v] = cur
-            p = self.parent[v]
-            if p is not None:
-                cur = self.flow[v] if cur is None else min(cur, self.flow[v])
-            v = p
-        v = t
-        climb: int | None = None
-        while v not in chain_min:
-            climb = self.flow[v] if climb is None else min(climb, self.flow[v])
+            low_from_s[v] = low
+            low = min(low, self.flow[v])
             v = self.parent[v]
-        candidates = [x for x in (chain_min[v], climb) if x is not None]
-        return min(candidates)
+        low = math.inf
+        while t not in low_from_s:
+            low = min(low, self.flow[t])
+            t = self.parent[t]
+        return int(min(low, low_from_s[t]))
+
+    def connectivity_range(self) -> tuple[int, int]:
+        """lambda and lambda+, the least and the greatest pairwise edge
+        connectivity of the graph: the smallest and largest tree flows. Every
+        tree flow is realized by its edge's endpoints, and a pair's
+        connectivity is the minimum over its tree path."""
+        flows = self.flow[1:]
+        return min(flows), max(flows)
 
 
 def gomory_hu(g: Graph) -> GomoryHuTree:
@@ -172,10 +177,5 @@ def gomory_hu(g: Graph) -> GomoryHuTree:
 
 
 def upper_edge_connectivity(g: Graph) -> int:
-    """Maximum over all vertex pairs of the pairwise edge connectivity.
-
-    Equals the largest flow value in a Gomory-Hu tree: every tree edge value
-    is realized by its endpoints, and no pair can exceed the maximum since
-    its connectivity is a minimum over a tree path.
-    """
-    return max(gomory_hu(g).flow[1:])
+    """Maximum over all vertex pairs of the pairwise edge connectivity."""
+    return gomory_hu(g).connectivity_range()[1]

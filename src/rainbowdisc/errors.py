@@ -25,9 +25,10 @@ class BudgetExceededError(RuntimeError):
 
 
 class NodeBudget:
-    """Node counter shared by the exact searches: each expanded node is
-    spent, and the first node past ``total`` raises BudgetExceededError
-    naming ``operation``."""
+    """Node counter of one exhaustive search: each expanded node is spent,
+    and the first past ``total`` raises BudgetExceededError naming
+    ``operation``. A ``node_budget`` bounds each exhaustive search on its
+    own: one rd level, the chi' search, one vertex pair's cut search."""
 
     __slots__ = ("remaining", "total", "operation")
 

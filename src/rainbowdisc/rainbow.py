@@ -189,9 +189,8 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
 
     g and c are validated once; then each pair runs the bipartition search
     of find_rainbow_cut_exact, whatever the palette size (polynomial for a
-    fixed number of colors), with node_budget applying to each pair's
-    search on its own. Pairs are visited in lexicographic order and the
-    first failure is reported.
+    fixed number of colors). Pairs are visited in lexicographic order and
+    the first failure is reported.
     """
     g.check_coloring(c)
     g.check_connected()
@@ -206,7 +205,7 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
     return RainbowDisconnectionCheck(True, certificates, None)
 
 
-def _search_disconnection_coloring(g: Graph, k: int, budget: NodeBudget) -> EdgeColoring | None:
+def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeColoring | None:
     """Exhaustive search for a k-color rainbow disconnection coloring.
 
     Only vertex bipartitions with at most k crossing edges can ever yield a
@@ -218,7 +217,8 @@ def _search_disconnection_coloring(g: Graph, k: int, budget: NodeBudget) -> Edge
     may only take colors 0..min(i, k-1), breaking color symmetry.
     """
     n, m = g.vertex_count, g.edge_count
-    budget.spend(1 << (n - 1))
+    spend = NodeBudget(node_budget, "rainbow disconnection number search").spend
+    spend(1 << (n - 1))
     pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
     subset_pairs: list[list[int]] = []
     edge_subsets: list[list[int]] = [[] for _ in range(m)]
@@ -249,7 +249,7 @@ def _search_disconnection_coloring(g: Graph, k: int, budget: NodeBudget) -> Edge
         if i == m:
             return True
         for col in range(min(i, k - 1) + 1):
-            budget.spend()
+            spend()
             bit = 1 << col
             dead = False
             trail: list[tuple[int, int]] = []
@@ -300,23 +300,18 @@ def rd_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> RdResult:
     bound: some pair needs that many cut edges, all distinctly colored), and
     ends at max_degree + 1, where the constructive proper coloring always
     works. Levels below max_degree are searched exhaustively. Level
-    max_degree is settled by chromatic_index_exact(g, node_budget), which
-    spends its own node_budget, apart from the level searches' one. Class 1
-    gives rd = max_degree with its proper coloring as the witness (every
-    vertex star is a rainbow cut). Class 2 gives rd = 4 with the Delta+1
-    coloring when lambda = max_degree = 3, that is, for a 3-edge-connected
-    cubic graph; otherwise the level is searched as the others. The search
-    is exhaustive per level and meant for small graphs; node counts grow as
+    max_degree is settled by chromatic_index_exact. Class 1 gives
+    rd = max_degree with its proper coloring as the witness (every vertex
+    star is a rainbow cut). Class 2 gives rd = 4 with the Delta+1 coloring
+    when lambda = max_degree = 3, that is, for a 3-edge-connected cubic
+    graph; otherwise the level is searched as the others. The search is
+    exhaustive per level and meant for small graphs; node counts grow as
     2^(n-1) per searched level.
     """
-    g.check_connected()
-    # lambda and lambda+ are the smallest and largest Gomory-Hu tree flows
-    flows = gomory_hu(g).flow[1:]
-    lam, lam_plus = min(flows), max(flows)
+    lam, lam_plus = gomory_hu(g).connectivity_range()
     delta = g.max_degree
-    budget = NodeBudget(node_budget, "rainbow disconnection number search")
     for k in range(lam_plus, delta):
-        witness = _search_disconnection_coloring(g, k, budget)
+        witness = _search_disconnection_coloring(g, k, node_budget)
         if witness is not None:
             value = k
             break
@@ -328,7 +323,7 @@ def rd_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> RdResult:
         # theorem), so there class 2 means rd = chi' = 4 with no search.
         cubic_3ec = lam == delta == 3
         if chi.vizing_class == 2 and not cubic_3ec:
-            found = _search_disconnection_coloring(g, delta, budget)
+            found = _search_disconnection_coloring(g, delta, node_budget)
             if found is not None:
                 value, witness = delta, found
     check = is_rainbow_disconnected(g, witness, node_budget=node_budget)

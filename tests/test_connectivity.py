@@ -11,8 +11,8 @@ from rainbowdisc import (Graph, InvalidInputError, components, gomory_hu,
 from rainbowdisc.connectivity import bridges
 from rainbowdisc.generators import (complete_graph, cycle_graph, petersen_graph,
                                     random_cubic_graph, random_tree)
-from corpus import (bridged_cubic_pair, cubic_3ec_corpus, cubic_not_3ec_graph,
-                    random_connected_graph)
+from corpus import (all_connected_graphs, bridged_cubic_pair, cubic_3ec_corpus,
+                    cubic_not_3ec_graph, random_connected_graph)
 from oracles import (global_min_cut_oracle, min_cut_value_oracle,
                      upper_connectivity_oracle)
 
@@ -146,7 +146,12 @@ class TestGomoryHu:
         rng = random.Random(43)
         graphs += [random_connected_graph(rng, rng.randint(2, 8)) for _ in range(30)]
         for g in graphs:
-            assert min(gomory_hu(g).flow[1:]) == global_edge_connectivity(g)
+            assert gomory_hu(g).connectivity_range() == (
+                global_edge_connectivity(g), upper_edge_connectivity(g))
+        for n in range(2, 6):
+            for g in all_connected_graphs(n):
+                assert gomory_hu(g).connectivity_range() == (
+                    global_min_cut_oracle(g), upper_connectivity_oracle(g))
 
 
 class TestUpperConnectivity:

@@ -21,7 +21,6 @@ from rainbowdisc import (DEFAULT_NODE_BUDGET, BudgetExceededError, CnfFormula,
 from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark,
                                     petersen_graph, prism_graph, random_cubic_graph,
                                     random_tree)
-from rainbowdisc.errors import NodeBudget
 from corpus import (bridged_cubic_pair, cubic_3ec_corpus, cubic_not_3ec_graph,
                     k33_graph, random_coloring, random_connected_graph,
                     two_hub_graph)
@@ -38,22 +37,23 @@ PRISM_PROPER = EdgeColoring((3, 1, 2, 3, 1, 2, 1, 2, 3))
 def rd_by_level_search(g: Graph) -> int:
     """rd from _search_disconnection_coloring alone, level by level from
     lambda+ to max_degree, with no witness-first step."""
-    budget = NodeBudget(DEFAULT_NODE_BUDGET, "reference level search")
     for k in range(upper_edge_connectivity(g), g.max_degree + 1):
-        if rainbow_module._search_disconnection_coloring(g, k, budget) is not None:
+        if rainbow_module._search_disconnection_coloring(
+                g, k, DEFAULT_NODE_BUDGET) is not None:
             return k
     return g.max_degree + 1
 
 
 @pytest.fixture
 def searched_levels(monkeypatch):
-    """The levels k that rd_exact hands to _search_disconnection_coloring."""
+    """The (level k, node_budget) pairs that rd_exact hands to
+    _search_disconnection_coloring."""
     levels = []
     search = rainbow_module._search_disconnection_coloring
 
-    def recording_search(g, k, budget):
-        levels.append(k)
-        return search(g, k, budget)
+    def recording_search(g, k, node_budget):
+        levels.append((k, node_budget))
+        return search(g, k, node_budget)
 
     monkeypatch.setattr(rainbow_module, "_search_disconnection_coloring", recording_search)
     return levels
@@ -282,11 +282,13 @@ class TestRdExact:
             assert upper_edge_connectivity(g) <= r.rd_value <= g.max_degree + 1
 
     def test_budget_exceeded(self, searched_levels):
-        # K5 is class 2 by shape alone, so its level Delta = 4 is searched
+        # K5 is class 2 by shape alone, so its level Delta = 4 is searched,
+        # with the caller's node_budget as its own
         with pytest.raises(BudgetExceededError,
                            match="rainbow disconnection number search"):
             rd_exact(complete_graph(5), node_budget=10)
-        assert searched_levels == [4]
+        assert searched_levels == [(4, 10)]
+        assert all(type(budget) is int for _, budget in searched_levels)
         searched_levels.clear()
         # Petersen's class-2 proof is chromatic_index_exact's search, which
         # needs 55 nodes
@@ -332,7 +334,7 @@ class TestRdExact:
             assert rd_exact(g).rd_value == 4
         assert searched_levels == []
         assert rd_exact(complete_graph(5)).rd_value == 4
-        assert searched_levels == [4]
+        assert searched_levels == [(4, DEFAULT_NODE_BUDGET)]
 
     def test_class_two_3ec_cubic_within_small_budget(self, searched_levels):
         g = random_cubic_graph(16, 232)
@@ -350,7 +352,7 @@ class TestRdExact:
         monkeypatch.setattr(coloring_module, "_kempe_walk_delta_coloring", no_walk)
         g = bridged_cubic_pair(4, 0)
         assert rd_exact(g).rd_value == rd_by_level_search(g)
-        assert searched_levels[-1] == 3
+        assert searched_levels[-1][0] == 3
 
     def test_matches_level_search_on_small_graphs(self):
         # an independent cross-check of level Delta, which rd_exact settles
