@@ -8,7 +8,7 @@ every operation in the package; all types are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Container, Iterable
 
 from .errors import GraphFormatError, InvalidInputError
 
@@ -244,22 +244,8 @@ def components(g: Graph, removed: Iterable[int] = ()) -> tuple[tuple[int, ...], 
     for e in gone:
         check_edge_id(g.edge_count, e)
     seen = [False] * g.vertex_count
-    comps: list[tuple[int, ...]] = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        comp = [start]
-        while stack:
-            x = stack.pop()
-            for eid, y in g.adjacency[x]:
-                if eid not in gone and not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    return tuple(tuple(sorted(_walk(g, start, gone, seen)))
+                 for start in range(g.vertex_count) if not seen[start])
 
 
 def reachable_from(g: Graph, start: int, removed: Iterable[int] = ()) -> frozenset[int]:
@@ -268,15 +254,20 @@ def reachable_from(g: Graph, start: int, removed: Iterable[int] = ()) -> frozens
     for e in gone:
         check_edge_id(g.edge_count, e)
     check_vertex(g.vertex_count, start)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
+    return frozenset(_walk(g, start, gone, [False] * g.vertex_count))
+
+
+def _walk(g: Graph, start: int, gone: Container[int], seen: list[bool]) -> list[int]:
+    """The unseen vertices start (unseen) reaches without edge ids in gone,
+    marked in seen. Unchecked, for searches walking ids they generated."""
+    seen[start] = True
+    reached = [start]
+    for x in reached:
         for eid, y in g.adjacency[x]:
-            if eid not in gone and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return frozenset(seen)
+            if not seen[y] and eid not in gone:
+                seen[y] = True
+                reached.append(y)
+    return reached
 
 
 def separates(g: Graph, cut: Iterable[int], s: int, t: int) -> bool:
@@ -298,9 +289,8 @@ def is_rainbow(coloring: EdgeColoring, cut: Iterable[int]) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.vertex_count <= 1:
-        return True
-    return len(reachable_from(g, 0)) == g.vertex_count
+    n = g.vertex_count
+    return n <= 1 or len(_walk(g, 0, (), [False] * n)) == n
 
 
 def certificate_from_side(g: Graph, side_s: Iterable[int]) -> CutCertificate:

@@ -15,12 +15,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .coloring import chromatic_index_exact, is_proper
 from .connectivity import global_edge_connectivity, gomory_hu
 from .errors import DEFAULT_NODE_BUDGET, InvalidInputError, NodeBudget
-from .graphs import (CutCertificate, EdgeColoring, Graph, certificate_from_side,
-                     check_pair, components, is_connected, is_rainbow, reachable_from)
+from .graphs import (CutCertificate, EdgeColoring, Graph, _walk, certificate_from_side,
+                     check_pair, components, is_connected, is_rainbow)
 
 
 def _check_cubic_3ec(g: Graph) -> None:
@@ -54,13 +55,10 @@ def find_rainbow_cut_fixed_k(g: Graph, c: EdgeColoring, s: int,
     classes: dict[int, list[int]] = {}
     for eid, col in enumerate(c.colors):
         classes.setdefault(col, []).append(eid)
-    option_lists: list[list[int | None]] = [
-        [None] + classes[col] for col in sorted(classes)]
+    option_lists: list[list[int | None]] = [[None] + classes[col] for col in sorted(classes)]
     for combo in itertools.product(*option_lists):
         cut = frozenset(e for e in combo if e is not None)
-        if not cut:
-            continue
-        side = reachable_from(g, s, cut)
+        side = _walk(g, s, cut, [False] * g.vertex_count)
         if t in side:
             continue
         cert = certificate_from_side(g, side)
@@ -74,16 +72,11 @@ def find_rainbow_cut_exact(g: Graph, c: EdgeColoring, s: int, t: int,
                            node_budget: int = DEFAULT_NODE_BUDGET) -> CutCertificate | None:
     """Complete rainbow s-t cut search for arbitrary palettes.
 
-    Branches over vertex bipartitions (each undecided vertex joins s's or
-    t's side), tracking color multiplicities among crossing edges and
-    pruning as soon as any color repeats. Complete because the boundary of
-    the s side of any rainbow cut is itself a rainbow s-t cut.
-
-    The next vertex placed is the lowest id next to a placed one, so the
-    crossing edges among placed vertices fix their sides. Every live node
-    at a given depth thus has its own rainbow edge set, and the search
-    spends at most 2n * prod(|color class| + 1) nodes: polynomial for a
-    fixed number of colors, like find_rainbow_cut_fixed_k.
+    The first bipartition _sides lists with s and t apart and no color
+    repeated among its crossing edges; complete because the boundary of the
+    s side of any rainbow cut is itself a rainbow s-t cut. At most
+    2n * prod(|color class| + 1) nodes are spent: polynomial for a fixed
+    number of colors, like find_rainbow_cut_fixed_k.
     """
     g.check_coloring(c)
     check_pair(g.vertex_count, s, t)
@@ -96,79 +89,85 @@ def _rainbow_cut(g: Graph, c: EdgeColoring, dense: list[int], distinct: int,
                  s: int, t: int, node_budget: int) -> CutCertificate | None:
     """The bipartition search behind find_rainbow_cut_exact, on inputs the
     caller has validated; ``dense`` and ``distinct`` come from _dense_colors(c)."""
-    n = g.vertex_count
     spend = NodeBudget(node_budget, "rainbow cut search").spend
-    side = [-1] * n
-    # counts[col]: crossing edges of color col between placed vertices;
-    # every kept placement leaves each count at most 1
-    counts = [0] * distinct
-    adjacency = g.adjacency
-    side[s] = 0
-    side[t] = 1
-    for eid, w in adjacency[t]:
-        if w == s:
-            counts[dense[eid]] = 1
-    # the graph is connected, so the frontier walk reaches every vertex
-    seen = [False] * n
-    seen[s] = seen[t] = True
-    frontier: list[int] = []
+    for side in _sides(g, dense, distinct, 1, s, t, spend):
+        cert = certificate_from_side(g, (v for v in range(g.vertex_count) if side[v] == 0))
+        if not is_rainbow(c, cert.cut_edges):
+            raise RuntimeError("search returned a non-rainbow cut")
+        return cert
+    return None
 
-    def reach(u: int) -> None:
+
+def _sides(g: Graph, labels: list[int], label_count: int, cap: int, s: int,
+           t: int | None, spend: Callable[[], None]) -> Iterator[list[int]]:
+    """Every assignment of the connected graph g's vertices to sides 0 and 1
+    with s on side 0, t (if given) on side 1 and at most cap crossing edges
+    of each label (edge eid has label labels[eid] < label_count), yielded as
+    side[v] in one list that the next step changes.
+
+    The next vertex placed is the lowest id next to a placed one, side 0
+    first, one node per placement tried. The crossing edges among placed
+    vertices fix their sides, so a placement putting a label over cap is
+    pruned with its extensions, and every live node at a given depth has its
+    own crossing edge set.
+    """
+    adjacency = g.adjacency
+    ends = [s] if t is None else [s, t]
+    side = [-1] * g.vertex_count
+    for x, v in enumerate(ends):
+        side[v] = x
+    # counts[label]: crossing edges of that label between placed vertices
+    counts = [0] * label_count
+    for eid, w in adjacency[s]:
+        if side[w] == 1:
+            counts[labels[eid]] = 1
+    # order: the ends, then each vertex (g is connected) as the lowest id next to an earlier one
+    seen = [x >= 0 for x in side]
+    order = list(ends)
+    frontier: list[int] = []
+    for u in order:
         for _, w in adjacency[u]:
             if not seen[w]:
                 seen[w] = True
                 heapq.heappush(frontier, w)
-
-    reach(s)
-    reach(t)
-    order: list[int] = []
-    while frontier:
-        v = heapq.heappop(frontier)
-        order.append(v)
-        reach(v)
+        if frontier and u == order[-1]:
+            order.append(heapq.heappop(frontier))
 
     # Depth first: order[i] goes to side x = 0, then 1, and is kept when no
-    # crossing color repeats. The stack of (side, colors bumped) per kept
-    # vertex is a list, so the depth is not bound by the recursion limit.
+    # label exceeds cap. The stack of (side, labels bumped) per kept vertex
+    # is a list, so the depth is not bound by the recursion limit.
     kept: list[tuple[int, list[int]]] = []
-    i = x = 0
-    while i < len(order):
-        if x == 2:
+    i, x = len(ends), 0
+    while True:
+        if i == len(order):
+            yield side
+            x = 2
+        if x < 2:
+            spend()
+            v = order[i]
+            other = 1 - x
+            bumped = []
+            for eid, w in adjacency[v]:
+                if side[w] == other:
+                    label = labels[eid]
+                    counts[label] += 1
+                    bumped.append(label)
+                    if counts[label] > cap:
+                        break
+            else:
+                side[v] = x
+                kept.append((x, bumped))
+                i, x = i + 1, 0
+                continue
+        else:
             if not kept:
-                return None
+                return
             i -= 1
             x, bumped = kept.pop()
             side[order[i]] = -1
-            for col in bumped:
-                counts[col] -= 1
-            x += 1
-            continue
-        spend()
-        v = order[i]
-        other = 1 - x
-        bumped = []
-        repeat = False
-        for eid, w in adjacency[v]:
-            if side[w] == other:
-                col = dense[eid]
-                counts[col] += 1
-                bumped.append(col)
-                if counts[col] == 2:
-                    repeat = True
-                    break
-        if repeat:
-            for col in bumped:
-                counts[col] -= 1
-            x += 1
-        else:
-            side[v] = x
-            kept.append((x, bumped))
-            i += 1
-            x = 0
-    cert = certificate_from_side(g, frozenset(v for v in range(n) if side[v] == 0))
-    if not is_rainbow(c, cert.cut_edges):
-        raise RuntimeError("search returned a non-rainbow cut")
-    return cert
+        for label in bumped:
+            counts[label] -= 1
+        x += 1
 
 
 @dataclass(frozen=True)
@@ -208,79 +207,89 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
 def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeColoring | None:
     """Exhaustive search for a k-color rainbow disconnection coloring.
 
-    Only vertex bipartitions with at most k crossing edges can ever yield a
-    rainbow cut, so exactly those are precomputed (canonically: vertex 0 on
-    the in-side). During the edge-by-edge color assignment each candidate
-    bipartition tracks the colors seen on its crossing edges; once a color
-    repeats the candidate is dead for the rest of the branch, and when some
-    vertex pair runs out of live candidates the branch is abandoned. Edge i
-    may only take colors 0..min(i, k-1), breaking color symmetry.
+    The candidates are the bipartitions with at most k crossing edges (listed
+    by _sides, vertex 0 on side 0): no other can be a rainbow cut. Edges are
+    colored in order, edge i with colors 0..min(i, k-1) to break symmetry; a
+    candidate dies in the branch once a color repeats among its crossing
+    edges, and the branch ends when some vertex pair has no live candidate.
+
+    One budget covers the level: a node per placement the listing tries,
+    per (candidate, separated pair) entry, spent before the candidate is
+    stored, and per color tried.
     """
     n, m = g.vertex_count, g.edge_count
     spend = NodeBudget(node_budget, "rainbow disconnection number search").spend
-    spend(1 << (n - 1))
-    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
-    subset_pairs: list[list[int]] = []
+    sides: list[bytes] = []
     edge_subsets: list[list[int]] = [[] for _ in range(m)]
-    alive = [0] * len(pairs)
-    edges = g.edges
-    for mask in range((1 << (n - 1)) - 1):
-        inside = [True] + [bool(mask >> b & 1) for b in range(n - 1)]
-        crossing = [eid for eid, (u, v) in enumerate(edges) if inside[u] != inside[v]]
-        if len(crossing) > k:
-            continue
-        sid = len(subset_pairs)
-        members = []
-        for pid, (s, t) in enumerate(pairs):
-            if inside[s] != inside[t]:
-                members.append(pid)
-                alive[pid] += 1
-        subset_pairs.append(members)
-        for eid in crossing:
-            edge_subsets[eid].append(sid)
-    if not all(alive):
+    for side in _sides(g, [0] * m, 1, k, 0, None, spend):
+        spend(side.count(0) * side.count(1))
+        for eid, (u, v) in enumerate(g.edges):
+            if side[u] != side[v]:
+                edge_subsets[eid].append(len(sides))
+        sides.append(bytes(side))
+    entries = sum(side.count(0) * side.count(1) for side in sides)
+    # alive[s * n + t] for s < t: live candidates separating s and t, made
+    # only once the entries (bounded by the budget) can cover every pair
+    if entries < n * (n - 1) // 2:
+        return None
+    alive = [0] * (n * n)
+
+    def separated(side: bytes) -> list[int]:
+        ins = list(itertools.filterfalse(side.__getitem__, range(n)))
+        outs = list(itertools.compress(range(n), side))
+        return [u * n + v if u < v else v * n + u for u in ins for v in outs]
+
+    # Up to 2^20 entries (about 40 MB) are kept as lists; past that a candidate
+    # keeps only its side and lists its pairs again whenever it dies or revives
+    pairs = ([separated(side) for side in sides].__getitem__ if entries <= 1 << 20
+             else lambda sid: separated(sides[sid]))
+    for p in itertools.chain.from_iterable(map(pairs, range(len(sides)))):
+        alive[p] += 1
+    if not all(alive[s * n + t] for s in range(n) for t in range(s + 1, n)):
         return None
 
-    smask = [0] * len(subset_pairs)
-    scoll = [False] * len(subset_pairs)
+    # smask[sid]: colors on candidate sid's colored crossing edges, -1 once
+    # one repeats. Depth first over (edge i, color col); trails holds one
+    # list of (candidate, old smask) per colored edge, so nothing recurses.
+    smask = [0] * len(sides)
     assigned = [0] * m
-
-    def dfs(i: int) -> bool:
-        if i == m:
-            return True
-        for col in range(min(i, k - 1) + 1):
+    trails: list[list[tuple[int, int]]] = []
+    i = col = 0
+    while i < m:
+        if col > min(i, k - 1):
+            if i == 0:
+                return None
+            i -= 1
+        else:
             spend()
             bit = 1 << col
             dead = False
             trail: list[tuple[int, int]] = []
             for sid in edge_subsets[i]:
-                if scoll[sid]:
+                cols = smask[sid]
+                if cols < 0:
                     continue
-                if smask[sid] & bit:
-                    scoll[sid] = True
-                    trail.append((sid, -1))
-                    for pid in subset_pairs[sid]:
-                        alive[pid] -= 1
-                        if alive[pid] == 0:
+                trail.append((sid, cols))
+                if cols & bit:
+                    smask[sid] = -1
+                    for p in pairs(sid):
+                        alive[p] -= 1
+                        if not alive[p]:
                             dead = True
                 else:
-                    smask[sid] |= bit
-                    trail.append((sid, bit))
+                    smask[sid] = cols | bit
             assigned[i] = col
-            if not dead and dfs(i + 1):
-                return True
-            for sid, b in trail:
-                if b < 0:
-                    scoll[sid] = False
-                    for pid in subset_pairs[sid]:
-                        alive[pid] += 1
-                else:
-                    smask[sid] ^= b
-        return False
-
-    if dfs(0):
-        return EdgeColoring(tuple(assigned), k)
-    return None
+            trails.append(trail)
+            if not dead:
+                i, col = i + 1, 0
+                continue
+        for sid, cols in trails.pop():
+            if smask[sid] < 0:
+                for p in pairs(sid):
+                    alive[p] += 1
+            smask[sid] = cols
+        col = assigned[i] + 1
+    return EdgeColoring(tuple(assigned), k)
 
 
 @dataclass(frozen=True)
@@ -304,9 +313,8 @@ def rd_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> RdResult:
     rd = max_degree with its proper coloring as the witness (every vertex
     star is a rainbow cut). Class 2 gives rd = 4 with the Delta+1 coloring
     when lambda = max_degree = 3, that is, for a 3-edge-connected cubic
-    graph; otherwise the level is searched as the others. The search is
-    exhaustive per level and meant for small graphs; node counts grow as
-    2^(n-1) per searched level.
+    graph; otherwise the level is searched as the others. A level's nodes
+    grow with its bipartitions of at most k crossing edges and its colorings.
     """
     lam, lam_plus = gomory_hu(g).connectivity_range()
     delta = g.max_degree
@@ -432,7 +440,8 @@ def _smallest_splitting_cut(g: Graph, c: EdgeColoring) -> tuple[int, int, int] |
     """
     for trio in itertools.combinations(range(g.edge_count), 3):
         endpoints = {v for eid in trio for v in g.edges[eid]}
-        if len(endpoints) == 6 and is_rainbow(c, trio) and len(components(g, trio)) > 1:
+        if (len(endpoints) == 6 and len({c.colors[eid] for eid in trio}) == 3
+                and len(_walk(g, 0, trio, [False] * g.vertex_count)) < g.vertex_count):
             return trio
     return None
 

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from itertools import combinations
 
@@ -397,3 +399,25 @@ def test_file_commands_keep_the_exit_code_contract(command, data):
     assert code in range(5)
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
+
+
+def test_long_path_rd_exact_keeps_the_exit_code_contract(tmp_path, capsys):
+    # level 1 of a 1200-vertex path lists one side per prefix, about n^3/6
+    # separated pairs in all: the search must end on its budget, not on time
+    # or memory, also at the default budget (run with 1 GiB of address space)
+    n = 1200
+    g = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    path = write(tmp_path, "path.graph", serialize_graph(g))
+    assert main(["rd-exact", path, "--budget", "100000"]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    capped = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from rainbowdisc.cli import main\n"
+              "sys.exit(main(['rd-exact', sys.argv[1]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", capped, path], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 4
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

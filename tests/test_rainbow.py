@@ -9,6 +9,7 @@ import pytest
 import rainbowdisc.coloring as coloring_module
 import rainbowdisc.graphs as graphs_module
 import rainbowdisc.rainbow as rainbow_module
+from rainbowdisc.graphs import check_edge_id
 
 from rainbowdisc import (DEFAULT_NODE_BUDGET, BudgetExceededError, CnfFormula,
                          EdgeColoring, Graph,
@@ -21,10 +22,11 @@ from rainbowdisc import (DEFAULT_NODE_BUDGET, BudgetExceededError, CnfFormula,
 from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark,
                                     petersen_graph, prism_graph, random_cubic_graph,
                                     random_tree)
-from corpus import (bridged_cubic_pair, cubic_3ec_corpus, cubic_not_3ec_graph,
-                    k33_graph, random_coloring, random_connected_graph,
-                    two_hub_graph)
-from oracles import rainbow_cut_exists_oracle, rainbow_disconnected_oracle, rd_oracle
+from corpus import (all_connected_graphs, bridged_cubic_pair, cubic_3ec_corpus,
+                    cubic_not_3ec_graph, k33_graph, random_coloring,
+                    random_connected_graph, two_hub_graph)
+from oracles import (bipartition_sides, crossing_edges, rainbow_cut_exists_oracle,
+                     rainbow_disconnected_oracle, rd_oracle)
 
 
 def mono(g: Graph) -> EdgeColoring:
@@ -57,6 +59,53 @@ def searched_levels(monkeypatch):
 
     monkeypatch.setattr(rainbow_module, "_search_disconnection_coloring", recording_search)
     return levels
+
+
+def listed_sides(g, labels, label_count, cap, s, t):
+    """The side-0 vertex sets that _sides yields, in order."""
+    return [frozenset(v for v, x in enumerate(side) if x == 0)
+            for side in rainbow_module._sides(g, labels, label_count, cap, s, t,
+                                              lambda: None)]
+
+
+class TestSides:
+    def test_level_listing_matches_oracle(self):
+        # one label with cap k: every side holding vertex 0 with at most k
+        # crossing edges, each once (plus the side holding every vertex)
+        rng = random.Random(37)
+        graphs = [g for n in range(2, 7) for g in all_connected_graphs(n)]
+        graphs += [random_connected_graph(rng, rng.randint(7, 9), max_extra=8)
+                   for _ in range(40)]
+        for g in graphs:
+            n = g.vertex_count
+            sizes = {frozenset(side): len(crossing_edges(g, side))
+                     for side in bipartition_sides(n)}
+            for k in range(1, g.max_degree + 1):
+                listed = listed_sides(g, [0] * g.edge_count, 1, k, 0, None)
+                assert len(listed) == len(set(listed))
+                expected = {side for side, size in sizes.items() if 1 <= size <= k}
+                assert set(listed) == expected | {frozenset(range(n))}
+
+    def test_cut_listing_matches_oracle(self):
+        # one label per color with cap 1 and both ends fixed: every rainbow
+        # s-t cut's s side, the first one being find_rainbow_cut_exact's
+        rng = random.Random(41)
+        for _ in range(300):
+            g = random_connected_graph(rng, rng.randint(2, 8))
+            c = random_coloring(rng, g.edge_count, rng.randint(1, 5))
+            n = g.vertex_count
+            s, t = rng.sample(range(n), 2)
+            listed = listed_sides(g, *rainbow_module._dense_colors(c), 1, s, t)
+            expected = set()
+            for side in bipartition_sides(n):
+                s_side = frozenset(side if s in side else set(range(n)) - side)
+                cols = [c.colors[e] for e in crossing_edges(g, s_side)]
+                if t not in s_side and len(set(cols)) == len(cols):
+                    expected.add(s_side)
+            assert sorted(listed, key=sorted) == sorted(expected, key=sorted)
+            assert bool(listed) == rainbow_cut_exists_oracle(g, c, s, t)
+            cert = find_rainbow_cut_exact(g, c, s, t)
+            assert (cert.side_s if cert else None) == (listed[0] if listed else None)
 
 
 class TestFixedK:
@@ -354,6 +403,33 @@ class TestRdExact:
         assert rd_exact(g).rd_value == rd_by_level_search(g)
         assert searched_levels[-1][0] == 3
 
+    def test_sparse_24_vertices_within_small_budget(self, searched_levels):
+        # a level search spends nodes only on the bipartitions it lists, so
+        # n = 24 can fit a budget of 1e5; the graphs whose tables outgrow it
+        # still exit on the budget
+        rng = random.Random(43)
+        answered = 0
+        for _ in range(8):
+            g = random_connected_graph(rng, 24, max_extra=6)
+            try:
+                r = rd_exact(g, node_budget=100_000)
+            except BudgetExceededError:
+                continue
+            answered += 1
+            assert upper_edge_connectivity(g) <= r.rd_value <= g.max_degree + 1
+        assert answered >= 6
+        assert searched_levels
+
+    def test_level_table_past_two_to_the_20_entries(self):
+        # level 2 of a 64-cycle with a pendant vertex has about 1.1e6
+        # (candidate, separated pair) entries, so each candidate keeps only
+        # its side and lists its pairs again whenever it dies or revives
+        n = 64
+        g = Graph(n + 1, tuple((i, (i + 1) % n) for i in range(n)) + ((0, n),))
+        c = rainbow_module._search_disconnection_coloring(g, 2, DEFAULT_NODE_BUDGET)
+        assert c is not None and is_rainbow_disconnected(g, c).ok
+        assert rainbow_module._search_disconnection_coloring(g, 1, DEFAULT_NODE_BUDGET) is None
+
     def test_matches_level_search_on_small_graphs(self):
         # an independent cross-check of level Delta, which rd_exact settles
         # with chromatic_index_exact and, on the class-2 3-edge-connected
@@ -471,6 +547,25 @@ class TestCertify:
                 expected = next((trio for trio in itertools.combinations(range(g.edge_count), 3)
                                  if splits(g, c, trio)), None)
                 assert rainbow_module._smallest_splitting_cut(g, c) == expected
+
+    def test_searches_do_not_revalidate_their_own_edge_ids(self, monkeypatch):
+        calls = []
+
+        def counting_check_edge_id(edge_count, e):
+            calls.append(e)
+            return check_edge_id(edge_count, e)
+
+        # is_rainbow and components look check_edge_id up in the graphs module
+        monkeypatch.setattr(graphs_module, "check_edge_id", counting_check_edge_id)
+        for _, g in cubic_3ec_corpus(random_count=2):
+            rainbow_module._smallest_splitting_cut(g, chromatic_index_exact(g).witness)
+        assert calls == []
+        # the candidate cuts of fixed k are walked unchecked; only the
+        # certificate returned is checked for rainbowness
+        g = random_cubic_graph(12, 0)
+        cert = find_rainbow_cut_fixed_k(g, chromatic_index_exact(g).witness, 0, 1)
+        assert cert is not None
+        assert sorted(calls) == sorted(cert.cut_edges)
 
     def test_k4_proper_witness(self):
         g = complete_graph(4)
