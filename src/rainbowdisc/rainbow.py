@@ -186,20 +186,40 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
                             node_budget: int = DEFAULT_NODE_BUDGET) -> RainbowDisconnectionCheck:
     """Check that every vertex pair has a rainbow cut under c.
 
-    g and c are validated once; then each pair runs the bipartition search
-    of find_rainbow_cut_exact, whatever the palette size (polynomial for a
-    fixed number of colors). Pairs are visited in lexicographic order and
-    the first failure is reported.
+    g and c are validated once. Pairs are visited in lexicographic order and
+    the first failure is reported. Star first: when the edges at t carry
+    distinct colors (the star of t is rainbow), pair (s, t) gets the star of
+    t as its cut, with every vertex but t on the s side, and spends no nodes.
+    That is the first cut the bipartition search of find_rainbow_cut_exact
+    lists, since it tries side 0 first for each vertex, so every certificate
+    is the one the search gives. Any other pair runs that search, whatever
+    the palette size (polynomial for a fixed number of colors). Pairs whose
+    cuts have the same side share one certificate object: one per rainbow
+    star, built the first time a pair needs it, and one per distinct side
+    the search returns.
     """
     g.check_coloring(c)
     g.check_connected()
+    n = g.vertex_count
     dense, distinct = _dense_colors(c)
+    rainbow_star = [len({dense[eid] for eid, _ in star}) == len(star) for star in g.adjacency]
+    star_certs: list[CutCertificate | None] = [None] * n
+    by_side: dict[frozenset[int], CutCertificate] = {}
     certificates: dict[tuple[int, int], CutCertificate] = {}
-    for s in range(g.vertex_count):
-        for t in range(s + 1, g.vertex_count):
-            cert = _rainbow_cut(g, c, dense, distinct, s, t, node_budget)
-            if cert is None:
-                return RainbowDisconnectionCheck(False, certificates, (s, t))
+    for s in range(n):
+        for t in range(s + 1, n):
+            if rainbow_star[t]:
+                cert = star_certs[t]
+                if cert is None:
+                    cert = certificate_from_side(g, (v for v in range(n) if v != t))
+                    if not is_rainbow(c, cert.cut_edges):
+                        raise RuntimeError("star of t has a repeated color")
+                    star_certs[t] = cert
+            else:
+                cert = _rainbow_cut(g, c, dense, distinct, s, t, node_budget)
+                if cert is None:
+                    return RainbowDisconnectionCheck(False, certificates, (s, t))
+                cert = by_side.setdefault(cert.side_s, cert)
             certificates[(s, t)] = cert
     return RainbowDisconnectionCheck(True, certificates, None)
 
@@ -295,7 +315,10 @@ def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeCo
 @dataclass(frozen=True)
 class RdResult:
     """Exact rainbow disconnection number with a witness coloring and one
-    rainbow cut certificate per vertex pair."""
+    rainbow cut certificate per vertex pair. Certificates are shared per
+    side: pairs with the same cut hold the same object (see
+    is_rainbow_disconnected), so there are at most n - 1 star cuts plus the
+    distinct cuts the search returned."""
 
     rd_value: int
     witness: EdgeColoring
@@ -437,12 +460,24 @@ def _smallest_splitting_cut(g: Graph, c: EdgeColoring) -> tuple[int, int, int] |
     and each of the three crosses between them: a third component, or an
     edge inside one, would leave some component joined to the rest by
     fewer than three edges.
+
+    The trios are scanned in lexicographic order, and a second edge that
+    shares an endpoint or a color with the first is dropped before any third
+    edge is tried.
     """
-    for trio in itertools.combinations(range(g.edge_count), 3):
-        endpoints = {v for eid in trio for v in g.edges[eid]}
-        if (len(endpoints) == 6 and len({c.colors[eid] for eid in trio}) == 3
-                and len(_walk(g, 0, trio, [False] * g.vertex_count)) < g.vertex_count):
-            return trio
+    n, m, edges, colors = g.vertex_count, g.edge_count, g.edges, c.colors
+    for a in range(m):
+        ends_a, col_a = edges[a], colors[a]
+        for b in range(a + 1, m):
+            u, v = edges[b]
+            if colors[b] == col_a or u in ends_a or v in ends_a:
+                continue
+            ends_ab, cols_ab = (*ends_a, u, v), (col_a, colors[b])
+            for e in range(b + 1, m):
+                u, v = edges[e]
+                if (colors[e] not in cols_ab and u not in ends_ab and v not in ends_ab
+                        and len(_walk(g, 0, (a, b, e), [False] * n)) < n):
+                    return a, b, e
     return None
 
 

@@ -82,3 +82,26 @@ def bridged_cubic_pair(half: int, seed: int) -> Graph:
     edges = list(a.edges[1:]) + [(u + half, v + half) for u, v in b.edges[1:]]
     edges += [(p, x), (x, q), (r + half, y), (y, s + half), (x, y)]
     return Graph(2 * half + 2, tuple(edges))
+
+
+def truncate(h: Graph) -> Graph:
+    """Truncation of a cubic graph: each vertex becomes a triangle, and each
+    edge joins one corner of each end's triangle."""
+    port = [0] * h.vertex_count
+    edges = []
+    for v in range(h.vertex_count):
+        edges += [(3 * v, 3 * v + 1), (3 * v + 1, 3 * v + 2), (3 * v, 3 * v + 2)]
+    for u, v in h.edges:
+        edges.append((3 * u + port[u], 3 * v + port[v]))
+        port[u] += 1
+        port[v] += 1
+    return Graph(3 * h.vertex_count, tuple(edges))
+
+
+def relabel(g: Graph, rng: random.Random) -> Graph:
+    """The same graph under a random vertex permutation and edge order."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return Graph(g.vertex_count, tuple(edges))

@@ -9,7 +9,7 @@ import pytest
 import rainbowdisc.coloring as coloring_module
 import rainbowdisc.graphs as graphs_module
 import rainbowdisc.rainbow as rainbow_module
-from rainbowdisc.graphs import check_edge_id
+from rainbowdisc.graphs import check_edge_id, reachable_from
 
 from rainbowdisc import (DEFAULT_NODE_BUDGET, BudgetExceededError, CnfFormula,
                          EdgeColoring, Graph,
@@ -24,7 +24,7 @@ from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark,
                                     random_tree)
 from corpus import (all_connected_graphs, bridged_cubic_pair, cubic_3ec_corpus,
                     cubic_not_3ec_graph, k33_graph, random_coloring,
-                    random_connected_graph, two_hub_graph)
+                    random_connected_graph, relabel, truncate, two_hub_graph)
 from oracles import (bipartition_sides, crossing_edges, rainbow_cut_exists_oracle,
                      rainbow_disconnected_oracle, rd_oracle)
 
@@ -254,6 +254,40 @@ class TestDisconnectionCheck:
             assert check.failing_pair == (uncut[0] if uncut else None)
             assert check.certificates == exact_certs
 
+    def test_star_first_certificates_match_pair_by_pair_search(self):
+        # a pair whose star at t is rainbow takes no search; its certificate
+        # is the one find_rainbow_cut_exact gives, which lists that star first
+        rng = random.Random(23)
+        graphs = [random_connected_graph(rng, rng.randint(2, 10)) for _ in range(40)]
+        graphs += [relabel(random_cubic_graph(n, seed), rng)
+                   for n in (4, 6, 8, 10) for seed in range(3)]
+        graphs += [relabel(truncate(h), rng) for h in (complete_graph(4), k33_graph())]
+        for g in graphs:
+            for c in (chromatic_index_exact(g).witness, proper_coloring_delta_plus_one(g),
+                      random_coloring(rng, g.edge_count, 3)):
+                want, failing = {}, None
+                for s, t in itertools.combinations(range(g.vertex_count), 2):
+                    cert = find_rainbow_cut_exact(g, c, s, t)
+                    if cert is None:
+                        failing = (s, t)
+                        break
+                    want[(s, t)] = cert
+                check = is_rainbow_disconnected(g, c)
+                assert (check.certificates, check.failing_pair) == (want, failing)
+                # one object per distinct side
+                objects = {id(cert) for cert in check.certificates.values()}
+                sides = {cert.side_s for cert in check.certificates.values()}
+                assert len(objects) == len(sides)
+
+    def test_star_pairs_spend_no_nodes(self):
+        # every star of a proper coloring is rainbow, so a budget of 0 is
+        # enough; the single-pair search still spends its placements
+        g = complete_graph(5)
+        c = chromatic_index_exact(g).witness
+        assert is_rainbow_disconnected(g, c, node_budget=0).ok
+        with pytest.raises(BudgetExceededError):
+            find_rainbow_cut_exact(g, c, 0, 4, node_budget=0)
+
     def test_validates_connectivity_once(self, monkeypatch):
         calls = []
 
@@ -447,6 +481,25 @@ class TestRdExact:
             assert r.rd_value == rd_by_level_search(g)
             assert is_rainbow_disconnected(g, r.witness).ok
 
+    def test_per_pair_cuts_are_shared_per_side(self):
+        # a class-1 cubic graph: every star of the witness is rainbow, so its
+        # 19,900 pairs share the 199 star cuts of t = 1..199, in memory that
+        # grows with n^2 (one dict entry per pair), not n^3
+        tracemalloc.start()
+        try:
+            r = rd_exact(random_cubic_graph(200, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.rd_value == 3 and len(r.per_pair_cuts) == 19900
+        assert len({id(cert) for cert in r.per_pair_cuts.values()}) <= 199
+        assert peak < 20 * 2**20
+        # one color on a path: no star inside it is rainbow, so every pair is
+        # searched, and the searches return one of the 199 one-edge cuts
+        path = Graph(200, tuple((v, v + 1) for v in range(199)))
+        cuts = rd_exact(path).per_pair_cuts
+        assert len({id(cert) for cert in cuts.values()}) == 199
+
     def test_disconnected_rejected(self):
         with pytest.raises(InvalidInputError):
             rd_exact(Graph(3, ((0, 1),)))
@@ -547,6 +600,26 @@ class TestCertify:
                 expected = next((trio for trio in itertools.combinations(range(g.edge_count), 3)
                                  if splits(g, c, trio)), None)
                 assert rainbow_module._smallest_splitting_cut(g, c) == expected
+
+    def test_splitting_scan_matches_combinations_reference(self):
+        # the pruned nested loops pick the trio the plain lexicographic scan
+        # over every C(m, 3) trio picks
+        def reference(g, c):
+            n = g.vertex_count
+            for trio in itertools.combinations(range(g.edge_count), 3):
+                endpoints = {v for eid in trio for v in g.edges[eid]}
+                if (len(endpoints) == 6 and len({c.colors[eid] for eid in trio}) == 3
+                        and len(reachable_from(g, 0, trio)) < n):
+                    return trio
+            return None
+
+        rng = random.Random(29)
+        for n in range(8, 22, 2):
+            for seed in range(2):
+                g = random_cubic_graph(n, seed)
+                for c in (chromatic_index_exact(g).witness, random_coloring(rng, g.edge_count, 3),
+                          random_coloring(rng, g.edge_count, 5)):
+                    assert rainbow_module._smallest_splitting_cut(g, c) == reference(g, c)
 
     def test_searches_do_not_revalidate_their_own_edge_ids(self, monkeypatch):
         calls = []
