@@ -74,44 +74,62 @@ def global_edge_connectivity(g: Graph) -> int:
     return min(_max_flow(g, 0, t)[0] for t in range(1, g.vertex_count))
 
 
-def bridges(g: Graph) -> frozenset[int]:
-    """Edge ids of the bridges of g, the edges on no cycle.
+def blocks(g: Graph) -> list[tuple[int, ...]]:
+    """The blocks of g as edge id tuples (ascending), ordered by their least
+    edge id. A block is a biconnected component or a bridge; two edges share
+    one exactly when some cycle holds both, so the blocks partition the edges.
 
-    Tarjan's low-link test, with an explicit stack of adjacency iterators
-    so that a long path needs no recursion. A tree edge (p, v) is a bridge
-    when nothing below v reaches p or above by a back edge: low[v] > disc[p].
+    Tarjan's low-link test with an edge stack, and an explicit stack of
+    adjacency iterators so that a long path needs no recursion. Each edge is
+    pushed once: a tree edge on the way down, any other edge from its end
+    farther from the root. When nothing below the tree edge (p, v) reaches
+    above p by a back edge, low[v] >= disc[p], the edges pushed from (p, v)
+    on form one block.
     """
     n = g.vertex_count
     disc = [-1] * n
     low = [0] * n
     clock = 0
-    found: list[int] = []
+    pushed: list[int] = []
+    found: list[tuple[int, ...]] = []
     for root in range(n):
         if disc[root] != -1:
             continue
         disc[root] = low[root] = clock
         clock += 1
-        # (vertex, edge id it was entered by, its remaining adjacency)
-        stack = [(root, -1, iter(g.adjacency[root]))]
+        # (vertex, edge id it was entered by, len(pushed) before that edge,
+        # its remaining adjacency)
+        stack = [(root, -1, 0, iter(g.adjacency[root]))]
         while stack:
-            v, via, rest = stack[-1]
+            v, via, mark, rest = stack[-1]
             for eid, w in rest:
                 if eid == via:
                     continue
                 if disc[w] == -1:
+                    stack.append((w, eid, len(pushed), iter(g.adjacency[w])))
+                    pushed.append(eid)
                     disc[w] = low[w] = clock
                     clock += 1
-                    stack.append((w, eid, iter(g.adjacency[w])))
                     break
-                low[v] = min(low[v], disc[w])
+                if disc[w] < disc[v]:
+                    pushed.append(eid)
+                    low[v] = min(low[v], disc[w])
             else:
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
                     low[p] = min(low[p], low[v])
-                    if low[v] > disc[p]:
-                        found.append(via)
-    return frozenset(found)
+                    if low[v] >= disc[p]:
+                        found.append(tuple(sorted(pushed[mark:])))
+                        del pushed[mark:]
+    found.sort()
+    return found
+
+
+def bridges(g: Graph) -> frozenset[int]:
+    """Edge ids of the bridges of g, the edges on no cycle: the blocks with
+    one edge."""
+    return frozenset(block[0] for block in blocks(g) if len(block) == 1)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterator
 
 from .coloring import chromatic_index_exact, is_proper
-from .connectivity import global_edge_connectivity, gomory_hu
+from .connectivity import blocks, global_edge_connectivity, gomory_hu
 from .errors import DEFAULT_NODE_BUDGET, InvalidInputError, NodeBudget
 from .graphs import (CutCertificate, EdgeColoring, Graph, _walk, certificate_from_side,
                      check_pair, components, is_connected, is_rainbow)
@@ -170,12 +170,50 @@ def _sides(g: Graph, labels: list[int], label_count: int, cap: int, s: int,
         x += 1
 
 
+class _PairCuts(Mapping[tuple[int, int], CutCertificate]):
+    """The rainbow cut of each pair (s, t), s < t, that is_rainbow_disconnected
+    settled: the pairs before ``stop`` in lexicographic order. A certificate
+    is built when looked up, so memory is the n codes and the searched cuts'
+    edges, not one entry per pair. It is the star of t when that star is
+    rainbow, else searched cut j, the lowest bit where code[s] and code[t]
+    differ, oriented so that s is on side_s."""
+
+    def __init__(self, g: Graph, rainbow_star: list[bool], code: list[int],
+                 cut_edges: list[frozenset[int]], stop: tuple[int, int]) -> None:
+        self._g, self._rainbow_star, self._code = g, rainbow_star, code
+        self._cut_edges, self._stop = cut_edges, stop
+
+    def __len__(self) -> int:
+        s, t = self._stop
+        return s * self._g.vertex_count - s * (s + 1) // 2 + t - s - 1
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return itertools.islice(itertools.combinations(range(self._g.vertex_count), 2), len(self))
+
+    def __getitem__(self, pair: tuple[int, int]) -> CutCertificate:
+        n, code = self._g.vertex_count, self._code
+        try:
+            s, t = pair
+            settled = 0 <= s < t < n and (s, t) < self._stop
+        except (TypeError, ValueError):
+            settled = False
+        if not settled:
+            raise KeyError(pair)
+        if self._rainbow_star[t]:
+            return certificate_from_side(self._g, (v for v in range(n) if v != t))
+        x = code[s] ^ code[t]
+        j = (x & -x).bit_length() - 1
+        mine = code[s] >> j & 1
+        side_s = frozenset(v for v in range(n) if code[v] >> j & 1 == mine)
+        return CutCertificate(self._cut_edges[j], side_s, frozenset(range(n)) - side_s)
+
+
 @dataclass(frozen=True)
 class RainbowDisconnectionCheck:
     """Outcome of checking every vertex pair for a rainbow cut."""
 
     ok: bool
-    certificates: dict[tuple[int, int], CutCertificate]
+    certificates: Mapping[tuple[int, int], CutCertificate]
     failing_pair: tuple[int, int] | None
 
     def __bool__(self) -> bool:
@@ -190,38 +228,36 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
     the first failure is reported. Star first: when the edges at t carry
     distinct colors (the star of t is rainbow), pair (s, t) gets the star of
     t as its cut, with every vertex but t on the s side, and spends no nodes.
-    That is the first cut the bipartition search of find_rainbow_cut_exact
-    lists, since it tries side 0 first for each vertex, so every certificate
-    is the one the search gives. Any other pair runs that search, whatever
-    the palette size (polynomial for a fixed number of colors). Pairs whose
-    cuts have the same side share one certificate object: one per rainbow
-    star, built the first time a pair needs it, and one per distinct side
-    the search returns.
+    Every other pair is settled by partition refinement: bit j of code[v] is
+    v's side in the j-th searched cut, so the searched cuts split V into
+    classes of equal codes. A pair in two classes gets the first searched cut
+    that separates it, oriented so that s is on side_s. A pair inside one
+    class runs the bipartition search of find_rainbow_cut_exact, and the cut
+    it returns splits that class, so at most n - 1 searches run. A pair that
+    is not searched has a rainbow cut, so the first pair searched with no cut
+    is the first pair with none. The certificates are built when looked up.
     """
     g.check_coloring(c)
     g.check_connected()
     n = g.vertex_count
     dense, distinct = _dense_colors(c)
     rainbow_star = [len({dense[eid] for eid, _ in star}) == len(star) for star in g.adjacency]
-    star_certs: list[CutCertificate | None] = [None] * n
-    by_side: dict[frozenset[int], CutCertificate] = {}
-    certificates: dict[tuple[int, int], CutCertificate] = {}
+    code = [0] * n
+    cut_edges: list[frozenset[int]] = []
     for s in range(n):
         for t in range(s + 1, n):
-            if rainbow_star[t]:
-                cert = star_certs[t]
-                if cert is None:
-                    cert = certificate_from_side(g, (v for v in range(n) if v != t))
-                    if not is_rainbow(c, cert.cut_edges):
-                        raise RuntimeError("star of t has a repeated color")
-                    star_certs[t] = cert
-            else:
-                cert = _rainbow_cut(g, c, dense, distinct, s, t, node_budget)
-                if cert is None:
-                    return RainbowDisconnectionCheck(False, certificates, (s, t))
-                cert = by_side.setdefault(cert.side_s, cert)
-            certificates[(s, t)] = cert
-    return RainbowDisconnectionCheck(True, certificates, None)
+            if rainbow_star[t] or code[s] != code[t]:
+                continue
+            cert = _rainbow_cut(g, c, dense, distinct, s, t, node_budget)
+            if cert is None:
+                return RainbowDisconnectionCheck(
+                    False, _PairCuts(g, rainbow_star, code, cut_edges, (s, t)), (s, t))
+            bit = 1 << len(cut_edges)
+            cut_edges.append(cert.cut_edges)
+            for v in cert.side_t:
+                code[v] |= bit
+    return RainbowDisconnectionCheck(True, _PairCuts(g, rainbow_star, code, cut_edges, (n - 1, n)),
+                                     None)
 
 
 def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeColoring | None:
@@ -315,52 +351,79 @@ def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeCo
 @dataclass(frozen=True)
 class RdResult:
     """Exact rainbow disconnection number with a witness coloring and one
-    rainbow cut certificate per vertex pair. Certificates are shared per
-    side: pairs with the same cut hold the same object (see
-    is_rainbow_disconnected), so there are at most n - 1 star cuts plus the
-    distinct cuts the search returned."""
+    rainbow cut certificate per vertex pair (see is_rainbow_disconnected),
+    built when looked up: the star of t when it is rainbow under the
+    witness, else one of at most n - 1 searched cuts, in the orientation
+    with s on side_s."""
 
     rd_value: int
     witness: EdgeColoring
-    per_pair_cuts: dict[tuple[int, int], CutCertificate]
+    per_pair_cuts: Mapping[tuple[int, int], CutCertificate]
 
 
 def rd_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> RdResult:
-    """Exact rainbow disconnection number by increasing-k exhaustive search.
+    """Exact rainbow disconnection number, block by block.
+
+    rd(G) is the largest rd over the blocks of G (Chartrand, Devereaux,
+    Haynes, Hedetniemi and Zhang, 2018), and 1 when every block is a bridge.
+    The blocks share no edges, so the block witnesses, with color ids reused
+    across blocks, form one witness for G, which is_rainbow_disconnected
+    checks on G. Each block of two or more edges is searched as its own
+    graph by _rd_of_block, its vertices relabeled in ascending order and its
+    edges kept in id order, so a graph that is one block is searched as it
+    is.
+    """
+    g.check_connected()
+    value, colors = 1, [0] * g.edge_count
+    for block in blocks(g):
+        if len(block) == 1:
+            continue
+        ends = [g.edges[eid] for eid in block]
+        local = {v: i for i, v in enumerate(sorted({v for uv in ends for v in uv}))}
+        rd, found = _rd_of_block(
+            Graph(len(local), tuple((local[u], local[v]) for u, v in ends)), node_budget)
+        value = max(value, rd)
+        for eid, col in zip(block, found.colors):
+            colors[eid] = col
+    witness = EdgeColoring(tuple(colors), value)
+    check = is_rainbow_disconnected(g, witness, node_budget=node_budget)
+    if not check.ok:
+        raise RuntimeError("witness coloring failed verification")
+    return RdResult(value, witness, check.certificates)
+
+
+def _rd_of_block(g: Graph, node_budget: int) -> tuple[int, EdgeColoring]:
+    """rd of a connected graph with a witness, by increasing-k exhaustive
+    search.
 
     k starts at lambda+, the largest pairwise edge connectivity (a lower
     bound: some pair needs that many cut edges, all distinctly colored), and
     ends at max_degree + 1, where the constructive proper coloring always
-    works. Levels below max_degree are searched exhaustively. Level
-    max_degree is settled by chromatic_index_exact. Class 1 gives
-    rd = max_degree with its proper coloring as the witness (every vertex
-    star is a rainbow cut). Class 2 gives rd = 4 with the Delta+1 coloring
-    when lambda = max_degree = 3, that is, for a 3-edge-connected cubic
-    graph; otherwise the level is searched as the others. A level's nodes
-    grow with its bipartitions of at most k crossing edges and its colorings.
+    works. Levels below max_degree are searched exhaustively, each with its
+    own node budget. Level max_degree is settled by chromatic_index_exact.
+    Class 1 gives rd = max_degree with its proper coloring as the witness
+    (every vertex star is a rainbow cut). Class 2 gives rd = 4 with the
+    Delta+1 coloring when lambda = max_degree = 3, that is, for a
+    3-edge-connected cubic graph; otherwise the level is searched as the
+    others. A level's nodes grow with its bipartitions of at most k crossing
+    edges and its colorings.
     """
     lam, lam_plus = gomory_hu(g).connectivity_range()
     delta = g.max_degree
     for k in range(lam_plus, delta):
         witness = _search_disconnection_coloring(g, k, node_budget)
         if witness is not None:
-            value = k
-            break
-    else:
-        chi = chromatic_index_exact(g, node_budget)
-        value, witness = chi.chi_prime, chi.witness
-        # lambda = Delta = 3 means 3-edge-connected cubic. Such a graph has
-        # rd = 3 exactly when it is 3-edge-colorable (the paper's cubic
-        # theorem), so there class 2 means rd = chi' = 4 with no search.
-        cubic_3ec = lam == delta == 3
-        if chi.vizing_class == 2 and not cubic_3ec:
-            found = _search_disconnection_coloring(g, delta, node_budget)
-            if found is not None:
-                value, witness = delta, found
-    check = is_rainbow_disconnected(g, witness, node_budget=node_budget)
-    if not check.ok:
-        raise RuntimeError("witness coloring failed verification")
-    return RdResult(value, witness, check.certificates)
+            return k, witness
+    chi = chromatic_index_exact(g, node_budget)
+    # lambda = Delta = 3 means 3-edge-connected cubic. Such a graph has
+    # rd = 3 exactly when it is 3-edge-colorable (the paper's cubic
+    # theorem), so there class 2 means rd = chi' = 4 with no search.
+    cubic_3ec = lam == delta == 3
+    if chi.vizing_class == 2 and not cubic_3ec:
+        found = _search_disconnection_coloring(g, delta, node_budget)
+        if found is not None:
+            return delta, found
+    return chi.chi_prime, chi.witness
 
 
 @dataclass(frozen=True)

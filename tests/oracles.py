@@ -75,6 +75,22 @@ def rd_oracle(g: Graph, max_edges: int = 8) -> int:
     raise AssertionError("no coloring up to the max_degree+1 bound")
 
 
+def cycle_edge_sets(g: Graph) -> set[frozenset[int]]:
+    """The edge set of every cycle of g, by extending each simple path from
+    its least vertex until an edge closes it."""
+    found = set()
+    for start in range(g.vertex_count):
+        paths = [(start, (start,), ())]
+        while paths:
+            v, path, path_edges = paths.pop()
+            for eid, w in g.adjacency[v]:
+                if w == start and len(path_edges) >= 2:
+                    found.add(frozenset(path_edges + (eid,)))
+                elif w > start and w not in path:
+                    paths.append((w, path + (w,), path_edges + (eid,)))
+    return found
+
+
 def proper_oracle(g: Graph, colors) -> bool:
     for adj in g.adjacency:
         seen = set()

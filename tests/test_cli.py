@@ -402,13 +402,19 @@ def test_file_commands_keep_the_exit_code_contract(command, data):
 
 
 def test_long_path_rd_exact_keeps_the_exit_code_contract(tmp_path, capsys):
-    # level 1 of a 1200-vertex path lists one side per prefix, about n^3/6
-    # separated pairs in all: the search must end on its budget, not on time
-    # or memory, also at the default budget (run with 1 GiB of address space)
+    # A path is a tree: every block is a bridge, so rd = 1 with no level
+    # search, and its witness check searches at most n - 1 pairs and keeps
+    # no entry per pair, so a 3000-vertex path answers in 1 GiB too. A
+    # 1201-vertex odd cycle is one block whose level 2 is searched: about
+    # n^3/6 separated pairs, so that search must end on its budget, not on
+    # time or memory, also at the default budget. The default-budget runs
+    # have 1 GiB of address space.
     n = 1200
-    g = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
-    path = write(tmp_path, "path.graph", serialize_graph(g))
-    assert main(["rd-exact", path, "--budget", "100000"]) == 4
+    paths = [write(tmp_path, f"path{k}.graph",
+                   serialize_graph(Graph(k, tuple((i, i + 1) for i in range(k - 1)))))
+             for k in (n, 3000)]
+    cycle = write(tmp_path, "cycle.graph", serialize_graph(cycle_graph(n + 1)))
+    assert main(["rd-exact", cycle, "--budget", "100000"]) == 4
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     capped = ("import resource, sys\n"
@@ -416,8 +422,15 @@ def test_long_path_rd_exact_keeps_the_exit_code_contract(tmp_path, capsys):
               "from rainbowdisc.cli import main\n"
               "sys.exit(main(['rd-exact', sys.argv[1]]))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    run = subprocess.run([sys.executable, "-c", capped, path], env=env,
-                         capture_output=True, text=True, timeout=60)
+
+    def run_capped(graph_file):
+        return subprocess.run([sys.executable, "-c", capped, graph_file], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    for path in paths:
+        run = run_capped(path)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "rd=1\n", "")
+    run = run_capped(cycle)
     assert run.returncode == 4
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")

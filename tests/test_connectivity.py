@@ -2,18 +2,19 @@
 bipartition enumeration oracles."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from rainbowdisc import (Graph, InvalidInputError, components, gomory_hu,
                          global_edge_connectivity, local_edge_connectivity,
                          upper_edge_connectivity)
-from rainbowdisc.connectivity import bridges
+from rainbowdisc.connectivity import blocks, bridges
 from rainbowdisc.generators import (complete_graph, cycle_graph, petersen_graph,
                                     random_cubic_graph, random_tree)
 from corpus import (all_connected_graphs, bridged_cubic_pair, cubic_3ec_corpus,
                     cubic_not_3ec_graph, random_connected_graph)
-from oracles import (global_min_cut_oracle, min_cut_value_oracle,
+from oracles import (cycle_edge_sets, global_min_cut_oracle, min_cut_value_oracle,
                      upper_connectivity_oracle)
 
 
@@ -177,6 +178,35 @@ class TestUpperConnectivity:
         for _ in range(30):
             g = random_connected_graph(rng, rng.randint(2, 8))
             assert global_edge_connectivity(g) <= upper_edge_connectivity(g)
+
+
+class TestBlocks:
+    def test_matches_cycle_oracle(self):
+        # two edges share a block iff some cycle holds both; the bridges are
+        # the one-edge blocks, the edges on no cycle
+        rng = random.Random(53)
+        graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+        graphs += [random_connected_graph(rng, rng.randint(6, 12)) for _ in range(60)]
+        for g in graphs:
+            listed = blocks(g)
+            assert listed == sorted(tuple(sorted(block)) for block in listed)
+            block_of = {eid: i for i, block in enumerate(listed) for eid in block}
+            assert sorted(block_of) == list(range(g.edge_count))
+            assert sum(map(len, listed)) == g.edge_count
+            cycles = cycle_edge_sets(g)
+            for e, f in combinations(range(g.edge_count), 2):
+                assert (block_of[e] == block_of[f]) == any(
+                    e in cycle and f in cycle for cycle in cycles)
+            on_no_cycle = {e for e in range(g.edge_count)
+                           if not any(e in cycle for cycle in cycles)}
+            assert bridges(g) == on_no_cycle == {b[0] for b in listed if len(b) == 1}
+
+    def test_named_graphs(self):
+        assert blocks(bridged_triangles()) == [(0, 1, 2), (3, 4, 5), (6,)]
+        bowtie = Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)))
+        assert blocks(bowtie) == [(0, 1, 2), (3, 4, 5)]
+        assert blocks(Graph(4, ((2, 3), (0, 1)))) == [(0,), (1,)]
+        assert blocks(petersen_graph()) == [tuple(range(15))]
 
 
 class TestBridges:

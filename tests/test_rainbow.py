@@ -9,7 +9,9 @@ import pytest
 import rainbowdisc.coloring as coloring_module
 import rainbowdisc.graphs as graphs_module
 import rainbowdisc.rainbow as rainbow_module
-from rainbowdisc.graphs import check_edge_id, reachable_from
+from rainbowdisc.connectivity import blocks
+from rainbowdisc.graphs import (CutCertificate, check_cut_certificate, check_edge_id,
+                               reachable_from)
 
 from rainbowdisc import (DEFAULT_NODE_BUDGET, BudgetExceededError, CnfFormula,
                          EdgeColoring, Graph,
@@ -34,6 +36,13 @@ def mono(g: Graph) -> EdgeColoring:
 
 
 PRISM_PROPER = EdgeColoring((3, 1, 2, 3, 1, 2, 1, 2, 3))
+
+
+def assert_valid_certificates(g: Graph, c: EdgeColoring, certificates) -> None:
+    """Each certificate separates its pair, with s on side_s, by a rainbow cut."""
+    for (s, t), cert in certificates.items():
+        check_cut_certificate(g, cert, s, t)
+        assert is_rainbow(c, cert.cut_edges)
 
 
 def rd_by_level_search(g: Graph) -> int:
@@ -216,6 +225,20 @@ class TestDisconnectionCheck:
         assert not check.ok
         assert check.failing_pair == (0, 1)
 
+    def test_certificates_hold_the_settled_pairs_only(self):
+        # one color on the path 0-1-2-3-4 with a chord 2-4: pairs (0, t) and
+        # (1, t) are cut by edges 0 and 1, and (2, 3) has no rainbow cut
+        g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 4)))
+        check = is_rainbow_disconnected(g, mono(g))
+        assert check.failing_pair == (2, 3)
+        assert list(check.certificates) == [(0, 1), (0, 2), (0, 3), (0, 4),
+                                            (1, 2), (1, 3), (1, 4)]
+        assert check.certificates[(1, 4)] == CutCertificate({1}, {0, 1}, {2, 3, 4})
+        for key in ((2, 3), (2, 4), (1, 1), (4, 1), (0, 5), (-1, 2), 7, (0, 1, 2), None):
+            assert key not in check.certificates
+            with pytest.raises(KeyError):
+                check.certificates[key]
+
     def test_proper_k4_ok(self):
         g = complete_graph(4)
         c = chromatic_index_exact(g).witness
@@ -233,13 +256,14 @@ class TestDisconnectionCheck:
     def test_exact_path_matches_fixed_k_path(self):
         # the per-class enumeration is the reference: it and the bipartition
         # search agree on every pair, and the check fails at the first pair
-        # where the enumeration finds no cut
+        # where the enumeration finds no cut, with a valid rainbow cut for
+        # every pair before it
         rng = random.Random(19)
         for _ in range(30):
             g = random_connected_graph(rng, rng.randint(2, 5))
             c = random_coloring(rng, g.edge_count, 3)
             uncut = []
-            exact_certs = {}
+            cut_first = []
             for s in range(g.vertex_count):
                 for t in range(s + 1, g.vertex_count):
                     via_fixed = find_rainbow_cut_fixed_k(g, c, s, t)
@@ -248,36 +272,72 @@ class TestDisconnectionCheck:
                     if via_fixed is None:
                         uncut.append((s, t))
                     elif not uncut:
-                        exact_certs[(s, t)] = via_exact
+                        cut_first.append((s, t))
             check = is_rainbow_disconnected(g, c)
             assert check.ok == (not uncut)
             assert check.failing_pair == (uncut[0] if uncut else None)
-            assert check.certificates == exact_certs
+            assert list(check.certificates) == cut_first
+            assert_valid_certificates(g, c, check.certificates)
 
     def test_star_first_certificates_match_pair_by_pair_search(self):
-        # a pair whose star at t is rainbow takes no search; its certificate
-        # is the one find_rainbow_cut_exact gives, which lists that star first
+        # the verdict and failing pair are the pair-by-pair search's. A pair
+        # whose star at t is rainbow takes no search; its certificate is the
+        # one find_rainbow_cut_exact gives, which lists that star first. Any
+        # other pair holds one of at most n - 1 searched cuts, each in at
+        # most two orientations.
         rng = random.Random(23)
         graphs = [random_connected_graph(rng, rng.randint(2, 10)) for _ in range(40)]
         graphs += [relabel(random_cubic_graph(n, seed), rng)
                    for n in (4, 6, 8, 10) for seed in range(3)]
         graphs += [relabel(truncate(h), rng) for h in (complete_graph(4), k33_graph())]
         for g in graphs:
+            n = g.vertex_count
             for c in (chromatic_index_exact(g).witness, proper_coloring_delta_plus_one(g),
                       random_coloring(rng, g.edge_count, 3)):
                 want, failing = {}, None
-                for s, t in itertools.combinations(range(g.vertex_count), 2):
+                for s, t in itertools.combinations(range(n), 2):
                     cert = find_rainbow_cut_exact(g, c, s, t)
                     if cert is None:
                         failing = (s, t)
                         break
                     want[(s, t)] = cert
                 check = is_rainbow_disconnected(g, c)
-                assert (check.certificates, check.failing_pair) == (want, failing)
-                # one object per distinct side
-                objects = {id(cert) for cert in check.certificates.values()}
-                sides = {cert.side_s for cert in check.certificates.values()}
-                assert len(objects) == len(sides)
+                assert (check.ok, check.failing_pair) == (failing is None, failing)
+                assert check.certificates.keys() == want.keys()
+                assert_valid_certificates(g, c, check.certificates)
+                searched = set()
+                for (s, t), cert in check.certificates.items():
+                    if is_rainbow(c, [eid for eid, _ in g.adjacency[t]]):
+                        assert cert == want[(s, t)] and cert.side_t == {t}
+                    else:
+                        searched.add(cert)
+                assert len(searched) <= 2 * (n - 1)
+
+    def test_at_most_n_minus_1_searches(self, monkeypatch):
+        # a searched pair shares a class, and its cut splits that class
+        calls = []
+        search = rainbow_module._rainbow_cut
+
+        def counting_search(g, c, dense, distinct, s, t, node_budget):
+            calls.append((s, t))
+            return search(g, c, dense, distinct, s, t, node_budget)
+
+        monkeypatch.setattr(rainbow_module, "_rainbow_cut", counting_search)
+        # one color on a path: pair (s, s + 1) is searched for s < 198 (the
+        # star of vertex 199 is rainbow), and its cut splits s off
+        path = Graph(200, tuple((v, v + 1) for v in range(199)))
+        check = is_rainbow_disconnected(path, mono(path))
+        assert check.ok and len(check.certificates) == 19900
+        assert calls == [(s, s + 1) for s in range(198)]
+        rng = random.Random(47)
+        for k in (2, 5, 9):
+            g = two_hub_graph(k)
+            for palette in (1, 2, 3, 4, 6):
+                c = random_coloring(rng, g.edge_count, palette)
+                calls.clear()
+                check = is_rainbow_disconnected(g, c)
+                assert len(calls) <= g.vertex_count - 1
+                assert_valid_certificates(g, c, check.certificates)
 
     def test_star_pairs_spend_no_nodes(self):
         # every star of a proper coloring is rainbow, so a budget of 0 is
@@ -327,12 +387,14 @@ class TestDisconnectionCheck:
 
 
 class TestRdExact:
-    def test_trees_are_one(self):
-        for seed in range(5):
-            g = random_tree(6, seed)
+    def test_trees_are_one(self, searched_levels):
+        # every block of a tree is a bridge, so no level is searched
+        for n, seed in [(6, seed) for seed in range(5)] + [(40, 1)]:
+            g = random_tree(n, seed)
             r = rd_exact(g)
             assert r.rd_value == 1
-            assert r.witness.color_count == 1
+            assert r.witness == EdgeColoring((0,) * (n - 1), 1)
+        assert searched_levels == []
 
     def test_cycles_are_two(self):
         for n in (3, 4, 5, 6):
@@ -475,16 +537,38 @@ class TestRdExact:
                    bridged_cubic_pair(4, 0), cubic_not_3ec_graph()]
         graphs += [random_connected_graph(rng, rng.randint(2, 10), max_extra=5)
                    for _ in range(30)]
+        graphs += [Graph(6, complete_graph(5).edges + ((4, 5),)),
+                   Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4))),
+                   Graph(8, complete_graph(4).edges + tuple(
+                       (u + 3, v + 3) for u, v in cycle_graph(5).edges))]
+        with_cut_vertex = 0
         for g in graphs:
             assert g.vertex_count <= 12
             r = rd_exact(g)
             assert r.rd_value == rd_by_level_search(g)
             assert is_rainbow_disconnected(g, r.witness).ok
+            with_cut_vertex += len(blocks(g)) > 1
+        # rd_exact searches these block by block, the level search whole
+        assert with_cut_vertex >= 20
+
+    def test_budget_exits_with_a_cut_vertex_are_answered(self):
+        # searched whole, each of these exits on a budget of 1e5; block by
+        # block it is answered at lambda+, so rd is exact
+        k8 = complete_graph(8)
+        cases = [(random_cubic_graph(16, 48), 3), (random_cubic_graph(16, 199), 3),
+                 (random_connected_graph(random.Random("sparse12-124"), 12, 6), 3),
+                 (Graph(9, k8.edges + ((0, 8),)), 7)]
+        for g, rd in cases:
+            assert len(blocks(g)) > 1
+            r = rd_exact(g, node_budget=100_000)
+            assert r.rd_value == rd == upper_edge_connectivity(g)
+            assert r.witness.palette == rd
+            assert is_rainbow_disconnected(g, r.witness).ok
 
     def test_per_pair_cuts_are_shared_per_side(self):
         # a class-1 cubic graph: every star of the witness is rainbow, so its
-        # 19,900 pairs share the 199 star cuts of t = 1..199, in memory that
-        # grows with n^2 (one dict entry per pair), not n^3
+        # 19,900 pairs hold the 199 star cuts of t = 1..199. The cuts are
+        # built when looked up, so the check holds no entry per pair.
         tracemalloc.start()
         try:
             r = rd_exact(random_cubic_graph(200, 0))
@@ -492,13 +576,20 @@ class TestRdExact:
         finally:
             tracemalloc.stop()
         assert r.rd_value == 3 and len(r.per_pair_cuts) == 19900
-        assert len({id(cert) for cert in r.per_pair_cuts.values()}) <= 199
-        assert peak < 20 * 2**20
-        # one color on a path: no star inside it is rainbow, so every pair is
-        # searched, and the searches return one of the 199 one-edge cuts
+        assert len(set(r.per_pair_cuts.values())) == 199
+        assert peak < 5 * 2**20
+        # one color on a path: no star inside it is rainbow, so its pairs hold
+        # the 198 searched one-edge cuts, each as found, and the star of 199
         path = Graph(200, tuple((v, v + 1) for v in range(199)))
-        cuts = rd_exact(path).per_pair_cuts
-        assert len({id(cert) for cert in cuts.values()}) == 199
+        tracemalloc.start()
+        try:
+            cuts = rd_exact(path).per_pair_cuts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(set(cuts.values())) == 199
+        assert all(cuts[(s, t)].cut_edges == {s} for s, t in cuts if t < 199)
 
     def test_disconnected_rejected(self):
         with pytest.raises(InvalidInputError):
