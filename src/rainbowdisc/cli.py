@@ -12,7 +12,7 @@ import sys
 
 from . import __version__
 from .coloring import chromatic_index_exact
-from .connectivity import gomory_hu
+from .connectivity import connectivity_range
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, InvalidInputError
 from .generators import GRAPH_KINDS, gen_cnf, gen_graph
 from .graphs import EdgeColoring, Graph, parse_graph, serialize_graph
@@ -69,7 +69,7 @@ def _write_witness(args: argparse.Namespace, g: Graph, coloring: EdgeColoring) -
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args.graph_file)
-    lam, lam_plus = gomory_hu(g).connectivity_range()
+    lam, lam_plus = connectivity_range(g)
     delta = g.max_degree
     _emit(args,
           {"lambda": lam, "lambda_plus": lam_plus, "delta": delta,

@@ -1,51 +1,76 @@
 """Exact edge connectivity: pairwise max-flow with cut certificates, global
-and upper edge connectivity, and Gomory-Hu trees."""
+and upper edge connectivity, and Gomory-Hu trees.
+
+Every flow here is one capped primitive, _max_flow, from a vertex to a
+vertex set; lambda and lambda+ are read in one place, connectivity_range.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Container
 
-from .graphs import CutCertificate, Graph, certificate_from_side, check_pair
+from .graphs import CutCertificate, Graph, _walk, certificate_from_side, check_pair
 
 
-def _max_flow(g: Graph, s: int, t: int) -> tuple[int, list[bool]]:
-    """Unit-capacity max flow by shortest augmenting paths.
+def _arcs(g: Graph) -> list[list[tuple[int, int]]]:
+    """Per vertex, its (arc id, head) pairs in edge id order. Each undirected
+    edge eid = (u, v) becomes two opposite arcs of capacity 1: 2*eid from u
+    and 2*eid+1 from v."""
+    arcs: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for eid, (u, v) in enumerate(g.edges):
+        arcs[u].append((2 * eid, v))
+        arcs[v].append((2 * eid + 1, u))
+    return arcs
 
-    Each undirected edge becomes two opposite arcs of capacity 1 (arc ids
-    2*eid and 2*eid+1). Returns the flow value and, per vertex, whether it
-    is reachable from s in the final residual network; that reachable set
-    is the canonical minimum cut side.
+
+def _max_flow(g: Graph, arcs: list[list[tuple[int, int]]], s: int,
+              sink: Container[int], limit: float = math.inf) -> tuple[int, set[int] | None]:
+    """Unit-capacity max flow from s to the vertex set sink (s not in it), by
+    shortest augmenting paths, stopping once the flow reaches limit.
+
+    Returns the flow value and, when it stays below limit, the set of
+    vertices reachable from s in the final residual network: the canonical
+    minimum cut side, the least one holding s. At limit it returns no side.
+    Each search clears only what it visited, so a flow that reaches the
+    sink near s costs little more than the n-slot table it starts with.
     """
-    n = g.vertex_count
-    cap = [1] * (2 * g.edge_count)
+    edges = g.edges
+    # arc a has residual capacity 0 iff a is in full; pushing along a either
+    # cancels the flow on a ^ 1 or fills a
+    full: set[int] = set()
+    parent_arc = [-1] * g.vertex_count
     value = 0
-    while True:
-        parent_arc = [-1] * n
+    while value < limit:
         parent_arc[s] = -2
         queue = [s]
-        reached_t = False
+        hit = -1
         for x in queue:
-            if reached_t:
-                break
-            for eid, y in g.adjacency[x]:
-                arc = 2 * eid + (0 if g.edges[eid][0] == x else 1)
-                if cap[arc] > 0 and parent_arc[y] == -1:
+            for arc, y in arcs[x]:
+                if parent_arc[y] == -1 and arc not in full:
                     parent_arc[y] = arc
-                    if y == t:
-                        reached_t = True
+                    if y in sink:
+                        hit = y
                         break
                     queue.append(y)
-        if not reached_t:
-            return value, [parent_arc[v] != -1 for v in range(n)]
-        y = t
+            if hit != -1:
+                break
+        if hit == -1:
+            return value, set(queue)
+        y = hit
         while y != s:
             arc = parent_arc[y]
-            cap[arc] -= 1
-            cap[arc ^ 1] += 1
-            eid, direction = divmod(arc, 2)
-            y = g.edges[eid][direction]
+            if arc ^ 1 in full:
+                full.discard(arc ^ 1)
+            else:
+                full.add(arc)
+            y = edges[arc >> 1][arc & 1]
+        for v in queue:
+            parent_arc[v] = -1
+        parent_arc[hit] = -1
         value += 1
+    return value, None
 
 
 def local_edge_connectivity(g: Graph, s: int, t: int) -> tuple[int, CutCertificate]:
@@ -56,22 +81,37 @@ def local_edge_connectivity(g: Graph, s: int, t: int) -> tuple[int, CutCertifica
     """
     check_pair(g.vertex_count, s, t)
     g.check_connected()
-    value, side = _max_flow(g, s, t)
-    cert = certificate_from_side(
-        g, frozenset(v for v in range(g.vertex_count) if side[v]))
+    value, side = _max_flow(g, _arcs(g), s, (t,))
+    assert side is not None
+    cert = certificate_from_side(g, frozenset(side))
     if len(cert.cut_edges) != value:
         raise RuntimeError("max-flow value and min-cut size disagree")
     return value, cert
 
 
 def global_edge_connectivity(g: Graph) -> int:
-    """Minimum over all vertex pairs of the pairwise edge connectivity.
+    """lambda, the minimum over all vertex pairs of the pairwise edge
+    connectivity.
 
-    Fixing one endpoint suffices: the global minimum cut separates vertex 0
-    from something.
+    For any vertex order v_1..v_n, lambda = min_i lambda({v_1..v_i},
+    v_{i+1}): the side of a minimum cut that holds v_1 holds some prefix
+    but not the next vertex (the growing source sets of Hao and Orlin,
+    1994). The order is breadth-first from vertex 0, so each v_{i+1} has a
+    neighbor in the set and its flow, run from v_{i+1}, stays near it. Each
+    flow stops at the least value so far, which starts at the minimum
+    degree.
     """
     g.check_connected()
-    return min(_max_flow(g, 0, t)[0] for t in range(1, g.vertex_count))
+    arcs = _arcs(g)
+    order = _walk(g, 0, (), [False] * g.vertex_count)
+    best = g.min_degree
+    prefix = {order[0]}
+    for v in order[1:]:
+        if best == 1:
+            break  # a connected graph has lambda >= 1
+        best = _max_flow(g, arcs, v, prefix, best)[0]
+        prefix.add(v)
+    return best
 
 
 def blocks(g: Graph) -> list[tuple[int, ...]]:
@@ -138,7 +178,10 @@ class GomoryHuTree:
     path equals the s-t edge connectivity of the original graph.
 
     parent[0] is None (the root); flow[v] is the value attached to the tree
-    edge between v and parent[v] (flow[0] is unused).
+    edge between v and parent[v] (flow[0] is unused). gomory_hu caps each
+    flow at the smaller degree of its two ends; the flows are the same as
+    uncapped, and the shape may differ only where the cap fires on the
+    parent's side.
     """
 
     parent: tuple[int | None, ...]
@@ -170,22 +213,38 @@ class GomoryHuTree:
 
 
 def gomory_hu(g: Graph) -> GomoryHuTree:
-    """Gomory-Hu tree via Gusfield's construction: n-1 max-flow calls on the
-    original graph, no vertex contraction."""
+    """Gomory-Hu tree via Gusfield's construction (1990): n-1 max-flow calls
+    on the original graph, no vertex contraction.
+
+    The flow between i and its tree parent p stops at min(deg i, deg p),
+    which bounds their connectivity: a flow that reaches it has found the
+    smaller star as a minimum cut, side {i} or V - {p}, with no final
+    residual search. Gusfield's construction takes any minimum cut, so the
+    tree flows are the same as with the canonical residual side, and so is
+    the tree where side {i} is taken (the least side holding i). Where the
+    cap fires on p's side the tree's shape may differ.
+    """
     g.check_connected()
     n = g.vertex_count
+    arcs = _arcs(g)
+    deg = g.degrees
     parent: list[int | None] = [None] + [0] * (n - 1)
     flow = [0] * n
     for i in range(1, n):
         p = parent[i]
         assert p is not None
-        value, side = _max_flow(g, i, p)
+        value, side = _max_flow(g, arcs, i, (p,), min(deg[i], deg[p]))
         flow[i] = value
+        if side is None:
+            if deg[i] == value:
+                continue  # side {i} moves no other vertex
+            side = set(range(n))
+            side.discard(p)
         for j in range(i + 1, n):
-            if side[j] and parent[j] == p:
+            if parent[j] == p and j in side:
                 parent[j] = i
         gp = parent[p]
-        if gp is not None and side[gp]:
+        if gp is not None and gp in side:
             # i separates its parent from its grandparent: splice i between them
             parent[i] = gp
             parent[p] = i
@@ -194,6 +253,22 @@ def gomory_hu(g: Graph) -> GomoryHuTree:
     return GomoryHuTree(tuple(parent), tuple(flow))
 
 
+def connectivity_range(g: Graph) -> tuple[int, int]:
+    """lambda and lambda+, the least and the greatest pairwise edge
+    connectivity of g.
+
+    A pair's connectivity is at most the smaller of its two degrees, so
+    lambda <= lambda+ <= d2, the second-largest degree. When lambda = d2
+    both are read with no Gomory-Hu tree; otherwise lambda+ is the tree's
+    largest flow.
+    """
+    lam = global_edge_connectivity(g)
+    if lam == sorted(g.degrees)[-2]:
+        return lam, lam
+    return lam, gomory_hu(g).connectivity_range()[1]
+
+
 def upper_edge_connectivity(g: Graph) -> int:
-    """Maximum over all vertex pairs of the pairwise edge connectivity."""
-    return gomory_hu(g).connectivity_range()[1]
+    """lambda+, the maximum over all vertex pairs of the pairwise edge
+    connectivity (see connectivity_range)."""
+    return connectivity_range(g)[1]

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .coloring import chromatic_index_exact, is_proper
-from .connectivity import blocks, global_edge_connectivity, gomory_hu
+from .connectivity import blocks, connectivity_range, global_edge_connectivity
 from .errors import DEFAULT_NODE_BUDGET, InvalidInputError, NodeBudget
 from .graphs import (CutCertificate, EdgeColoring, Graph, _walk, certificate_from_side,
                      check_pair, components, is_connected, is_rainbow)
@@ -408,7 +408,7 @@ def _rd_of_block(g: Graph, node_budget: int) -> tuple[int, EdgeColoring]:
     others. A level's nodes grow with its bipartitions of at most k crossing
     edges and its colorings.
     """
-    lam, lam_plus = gomory_hu(g).connectivity_range()
+    lam, lam_plus = connectivity_range(g)
     delta = g.max_degree
     for k in range(lam_plus, delta):
         witness = _search_disconnection_coloring(g, k, node_budget)

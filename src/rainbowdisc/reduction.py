@@ -14,7 +14,6 @@ falsified literals, i.e. when the formula is satisfiable.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 
@@ -295,6 +294,8 @@ def verify_reduction(f: CnfFormula, *,
 def reduction_sidecar(artifact: ReductionArtifact, tool_version: str) -> dict:
     """JSON-ready sidecar for an encoded graph file: endpoints and name
     tables in 1-indexed file labels, plus provenance."""
+    # imported here: hashlib loads OpenSSL, which only reduce-sat needs
+    import hashlib
     return {
         "s": artifact.s + 1,
         "t": artifact.t + 1,

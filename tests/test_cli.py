@@ -311,6 +311,18 @@ class TestTopLevel:
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "rainbowdisc 0.1.0"
 
+    def test_import_loads_no_hashlib(self):
+        # hashlib loads OpenSSL; only reduce-sat's sidecar needs it
+        import rainbowdisc
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowdisc.__file__)))
+        probe = ("import sys\n"
+                 f"sys.path.insert(0, {src!r})\n"
+                 "import rainbowdisc.cli\n"
+                 "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+        run = subprocess.run([sys.executable, "-I", "-c", probe],
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
 
 GRAPH_COMMANDS = ("bounds", "rd-exact", "rd-check", "cut", "cubic3", "chi")
 CNF_COMMANDS = ("reduce-sat", "verify-reduction")

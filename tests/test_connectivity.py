@@ -1,25 +1,53 @@
 """Edge connectivity and Gomory-Hu tree tests, cross-checked against
 bipartition enumeration oracles."""
 
+import math
 import random
 from itertools import combinations
 
 import pytest
 
-from rainbowdisc import (Graph, InvalidInputError, components, gomory_hu,
-                         global_edge_connectivity, local_edge_connectivity,
-                         upper_edge_connectivity)
+from rainbowdisc import (Graph, InvalidInputError, components, connectivity_range,
+                         gomory_hu, global_edge_connectivity, local_edge_connectivity,
+                         rd_exact, serialize_graph, upper_edge_connectivity)
+from rainbowdisc import connectivity
+from rainbowdisc.cli import main
 from rainbowdisc.connectivity import blocks, bridges
 from rainbowdisc.generators import (complete_graph, cycle_graph, petersen_graph,
                                     random_cubic_graph, random_tree)
 from corpus import (all_connected_graphs, bridged_cubic_pair, cubic_3ec_corpus,
-                    cubic_not_3ec_graph, random_connected_graph)
+                    cubic_not_3ec_graph, random_connected_graph, relabel)
 from oracles import (cycle_edge_sets, global_min_cut_oracle, min_cut_value_oracle,
                      upper_connectivity_oracle)
 
 
 def bridged_triangles():
     return Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)))
+
+
+def swap_with_zero(g: Graph, v: int) -> Graph:
+    """g with the labels of v and vertex 0 exchanged."""
+    name = {v: 0, 0: v}
+    return Graph(g.vertex_count,
+                 tuple((name.get(a, a), name.get(b, b)) for a, b in g.edges))
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, tuple(edges))
+
+
+def wheel_graph(rim: int) -> Graph:
+    """A rim-cycle on 0..rim-1 plus a hub, vertex rim, joined to all of it."""
+    return Graph(rim + 1, tuple((i, (i + 1) % rim) for i in range(rim))
+                 + tuple((i, rim) for i in range(rim)))
+
+
+def two_k5_joined() -> Graph:
+    """Two K5 on 0..4 and 5..9 joined by the edges 0-5 and 1-6."""
+    k5 = complete_graph(5).edges
+    return Graph(10, k5 + tuple((u + 5, v + 5) for u, v in k5) + ((0, 5), (1, 6)))
 
 
 class TestLocalConnectivity:
@@ -95,13 +123,32 @@ class TestGlobalConnectivity:
 
     def test_matches_oracle(self):
         rng = random.Random(29)
-        for _ in range(30):
-            g = random_connected_graph(rng, rng.randint(2, 7))
+        graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+        graphs += [random_connected_graph(rng, rng.randint(2, 7)) for _ in range(30)]
+        for g in graphs:
             assert global_edge_connectivity(g) == global_min_cut_oracle(g)
 
     def test_rejects_single_vertex(self):
         with pytest.raises(InvalidInputError):
             global_edge_connectivity(Graph(1, ()))
+
+    def test_start_vertex_of_any_degree_or_on_a_bridge(self):
+        # the prefix order starts at vertex 0: put the least-degree vertex,
+        # the greatest-degree vertex, or a bridge's end there
+        rng = random.Random(59)
+        for _ in range(25):
+            g = random_connected_graph(rng, rng.randint(3, 8), max_extra=rng.randint(0, 14))
+            h = random_connected_graph(rng, rng.randint(1, 4), max_extra=4)
+            n = g.vertex_count
+            bridged = Graph(n + h.vertex_count, g.edges + ((rng.randrange(n), n),)
+                            + tuple((u + n, v + n) for u, v in h.edges))
+            for other in (min(range(n), key=g.degrees.__getitem__),
+                          max(range(n), key=g.degrees.__getitem__)):
+                relabeled = swap_with_zero(g, other)
+                assert global_edge_connectivity(relabeled) == global_min_cut_oracle(g)
+            for end in bridged.edges[g.edge_count]:
+                relabeled = swap_with_zero(bridged, end)
+                assert global_edge_connectivity(relabeled) == 1 == global_min_cut_oracle(bridged)
 
 
 class TestGomoryHu:
@@ -153,6 +200,69 @@ class TestGomoryHu:
             for g in all_connected_graphs(n):
                 assert gomory_hu(g).connectivity_range() == (
                     global_min_cut_oracle(g), upper_connectivity_oracle(g))
+
+
+    def test_degree_cap_at_either_end(self, monkeypatch):
+        # a Gusfield flow that reaches min(deg i, deg p) takes the smaller
+        # star as its cut, side {i} or V - {p}; both must give a correct tree
+        fired = set()
+        flow = connectivity._max_flow
+
+        def spy(g, arcs, s, sink, limit=math.inf):
+            value, side = flow(g, arcs, s, sink, limit)
+            if side is None and len(sink) == 1:
+                fired.add("i" if value == g.degrees[s] else "p")
+            return value, side
+
+        monkeypatch.setattr(connectivity, "_max_flow", spy)
+        k25 = Graph(7, tuple((a, b) for a in (0, 1) for b in range(2, 7)))
+        rng = random.Random(61)
+        for g in (k25, wheel_graph(6), two_k5_joined()):
+            for h in (g, swap_with_zero(g, g.vertex_count - 1), relabel(g, rng)):
+                tree = gomory_hu(h)
+                n = h.vertex_count
+                for s in range(n):
+                    for t in range(s + 1, n):
+                        assert tree.connectivity(s, t) == local_edge_connectivity(h, s, t)[0]
+        assert fired == {"i", "p"}
+
+
+class TestConnectivityRange:
+    def test_matches_oracles_on_both_sides_of_the_shortcut(self):
+        # lambda = d2, the second-largest degree, needs no Gomory-Hu tree
+        rng = random.Random(67)
+        graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+        graphs += [random_connected_graph(rng, rng.randint(6, 9), max_extra=rng.randint(0, 20))
+                   for _ in range(30)]
+        graphs += [wheel_graph(5), grid_graph(3, 3), cycle_graph(7), complete_graph(6)]
+        shortcut = set()
+        for g in graphs:
+            lam, lam_plus = connectivity_range(g)
+            assert (lam, lam_plus) == (global_min_cut_oracle(g), upper_connectivity_oracle(g))
+            shortcut.add(lam == sorted(g.degrees)[-2])
+        assert shortcut == {True, False}
+
+    def test_trees_built_by_bounds_and_rd_exact(self, monkeypatch, tmp_path, capsys):
+        built = []
+        tree_of = connectivity.gomory_hu
+
+        def counting(g):
+            built.append(g)
+            return tree_of(g)
+
+        monkeypatch.setattr(connectivity, "gomory_hu", counting)
+        for g in (petersen_graph(), random_cubic_graph(20, 0), complete_graph(6),
+                  cycle_graph(7)):
+            assert connectivity_range(g)[0] == sorted(g.degrees)[-2]
+            path = tmp_path / "g.graph"
+            path.write_text(serialize_graph(g))
+            assert main(["bounds", str(path)]) == 0
+            rd_exact(g)
+            assert built == []
+        path.write_text(serialize_graph(grid_graph(4, 4)))
+        assert main(["bounds", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("lambda=2 lambda_plus=4 delta=4 chi_upper<=5\n")
+        assert len(built) == 1
 
 
 class TestUpperConnectivity:
