@@ -175,13 +175,13 @@ def bridges(g: Graph) -> frozenset[int]:
 @dataclass(frozen=True)
 class GomoryHuTree:
     """Flow-equivalent tree: the minimum flow value on the unique s-t tree
-    path equals the s-t edge connectivity of the original graph.
+    path equals the s-t edge connectivity of the original graph. Only flow
+    values are promised: a tree edge's removal need not split the vertices
+    as a minimum cut of the graph does.
 
     parent[0] is None (the root); flow[v] is the value attached to the tree
-    edge between v and parent[v] (flow[0] is unused). gomory_hu caps each
-    flow at the smaller degree of its two ends; the flows are the same as
-    uncapped, and the shape may differ only where the cap fires on the
-    parent's side.
+    edge between v and parent[v] (flow[0] is unused), and it is the edge
+    connectivity of v and parent[v].
     """
 
     parent: tuple[int | None, ...]
@@ -213,16 +213,16 @@ class GomoryHuTree:
 
 
 def gomory_hu(g: Graph) -> GomoryHuTree:
-    """Gomory-Hu tree via Gusfield's construction (1990): n-1 max-flow calls
-    on the original graph, no vertex contraction.
+    """Gusfield's equivalent flow tree (1990): n-1 max-flow calls on the
+    original graph, no vertex contraction. Vertex i is hung from its current
+    parent p with flow[i] their connectivity, and each later vertex j hung
+    from p moves to i when a minimum i-p cut puts j on i's side.
 
-    The flow between i and its tree parent p stops at min(deg i, deg p),
-    which bounds their connectivity: a flow that reaches it has found the
-    smaller star as a minimum cut, side {i} or V - {p}, with no final
-    residual search. Gusfield's construction takes any minimum cut, so the
-    tree flows are the same as with the canonical residual side, and so is
-    the tree where side {i} is taken (the least side holding i). Where the
-    cap fires on p's side the tree's shape may differ.
+    The flow between i and p stops at min(deg i, deg p), which bounds their
+    connectivity: a flow that reaches it has found the smaller star as a
+    minimum cut, side {i} or V - {p}, with no final residual search. The
+    construction takes any minimum cut, so each tree flow is still the
+    connectivity of its two ends.
     """
     g.check_connected()
     n = g.vertex_count
@@ -243,13 +243,6 @@ def gomory_hu(g: Graph) -> GomoryHuTree:
         for j in range(i + 1, n):
             if parent[j] == p and j in side:
                 parent[j] = i
-        gp = parent[p]
-        if gp is not None and gp in side:
-            # i separates its parent from its grandparent: splice i between them
-            parent[i] = gp
-            parent[p] = i
-            flow[i] = flow[p]
-            flow[p] = value
     return GomoryHuTree(tuple(parent), tuple(flow))
 
 

@@ -28,9 +28,9 @@ class NodeBudget:
     """Node counter of one exhaustive search: each expanded node is spent,
     and the first past ``total`` raises BudgetExceededError naming
     ``operation``. A ``node_budget`` bounds each exhaustive search on its
-    own: one level of one block's rd search (bipartition placements, table
-    entries and colors tried), one chi' search, one vertex pair's cut
-    search."""
+    own: one level of one block's rd search (bipartition placements, the
+    vertex pairs each listed bipartition separates, and colors tried), one
+    chi' search, one vertex pair's cut search."""
 
     __slots__ = ("remaining", "total", "operation")
 

@@ -23,6 +23,9 @@ from .errors import DEFAULT_NODE_BUDGET, InvalidInputError, NodeBudget
 from .graphs import (CutCertificate, EdgeColoring, Graph, _walk, certificate_from_side,
                      check_pair, components, is_connected, is_rainbow)
 
+# bytes 0 and 1 to the digits of int(..., 2)
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
 
 def _check_cubic_3ec(g: Graph) -> None:
     if g.vertex_count == 0 or any(d != 3 for d in g.degrees):
@@ -267,11 +270,13 @@ def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeCo
     by _sides, vertex 0 on side 0): no other can be a rainbow cut. Edges are
     colored in order, edge i with colors 0..min(i, k-1) to break symmetry; a
     candidate dies in the branch once a color repeats among its crossing
-    edges, and the branch ends when some vertex pair has no live candidate.
+    edges. Bit sid of code[v] is v's side in candidate sid while that
+    candidate is live, so a pair has a live candidate separating it exactly
+    when its two codes differ, and the branch ends when two codes are equal.
 
     One budget covers the level: a node per placement the listing tries,
-    per (candidate, separated pair) entry, spent before the candidate is
-    stored, and per color tried.
+    per vertex pair each listed candidate separates, spent before the
+    candidate is stored, and per color tried.
     """
     n, m = g.vertex_count, g.edge_count
     spend = NodeBudget(node_budget, "rainbow disconnection number search").spend
@@ -283,26 +288,19 @@ def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeCo
             if side[u] != side[v]:
                 edge_subsets[eid].append(len(sides))
         sides.append(bytes(side))
-    entries = sum(side.count(0) * side.count(1) for side in sides)
-    # alive[s * n + t] for s < t: live candidates separating s and t, made
-    # only once the entries (bounded by the budget) can cover every pair
-    if entries < n * (n - 1) // 2:
+    # code[v] read off column v of the sides, candidate 0 as the lowest bit
+    rows = b"".join(sides)
+    code = [int(b"0" + rows[v::n][::-1].translate(_BINARY_DIGITS), 2) for v in range(n)]
+    del rows
+    if len(set(code)) < n:
         return None
-    alive = [0] * (n * n)
 
-    def separated(side: bytes) -> list[int]:
-        ins = list(itertools.filterfalse(side.__getitem__, range(n)))
-        outs = list(itertools.compress(range(n), side))
-        return [u * n + v if u < v else v * n + u for u in ins for v in outs]
-
-    # Up to 2^20 entries (about 40 MB) are kept as lists; past that a candidate
-    # keeps only its side and lists its pairs again whenever it dies or revives
-    pairs = ([separated(side) for side in sides].__getitem__ if entries <= 1 << 20
-             else lambda sid: separated(sides[sid]))
-    for p in itertools.chain.from_iterable(map(pairs, range(len(sides)))):
-        alive[p] += 1
-    if not all(alive[s * n + t] for s in range(n) for t in range(s + 1, n)):
-        return None
+    def flip(sid: int) -> None:
+        """Clear candidate sid's bit on its side-1 vertices as it dies, or
+        set it again as it revives."""
+        bit = 1 << sid
+        for v in itertools.compress(range(n), sides[sid]):
+            code[v] ^= bit
 
     # smask[sid]: colors on candidate sid's colored crossing edges, -1 once
     # one repeats. Depth first over (edge i, color col); trails holds one
@@ -319,7 +317,7 @@ def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeCo
         else:
             spend()
             bit = 1 << col
-            dead = False
+            killed = False
             trail: list[tuple[int, int]] = []
             for sid in edge_subsets[i]:
                 cols = smask[sid]
@@ -328,21 +326,18 @@ def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeCo
                 trail.append((sid, cols))
                 if cols & bit:
                     smask[sid] = -1
-                    for p in pairs(sid):
-                        alive[p] -= 1
-                        if not alive[p]:
-                            dead = True
+                    flip(sid)
+                    killed = True
                 else:
                     smask[sid] = cols | bit
             assigned[i] = col
             trails.append(trail)
-            if not dead:
+            if not (killed and len(set(code)) < n):
                 i, col = i + 1, 0
                 continue
         for sid, cols in trails.pop():
             if smask[sid] < 0:
-                for p in pairs(sid):
-                    alive[p] += 1
+                flip(sid)
             smask[sid] = cols
         col = assigned[i] + 1
     return EdgeColoring(tuple(assigned), k)

@@ -5,7 +5,7 @@ bipartitions, colorings, and assignments. Used to cross-check the library's
 answers on small inputs.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 from rainbowdisc import EdgeColoring, Graph
 
@@ -73,6 +73,21 @@ def rd_oracle(g: Graph, max_edges: int = 8) -> int:
             if rainbow_disconnected_oracle(g, EdgeColoring(colors, k)):
                 return k
     raise AssertionError("no coloring up to the max_degree+1 bound")
+
+
+def first_level_coloring_oracle(g: Graph, k: int) -> EdgeColoring | None:
+    """The lexicographically first coloring with edge i in 0..min(i, k-1)
+    that rainbow-disconnects g, or None: what the rd level search at k
+    returns. Each coloring is checked as in rainbow_disconnected_oracle, over
+    every bipartition, with each bipartition's crossing edges listed once."""
+    n = g.vertex_count
+    cuts = [(side, crossing_edges(g, side)) for side in bipartition_sides(n)]
+    pairs = list(combinations(range(n), 2))
+    for colors in product(*(range(min(i, k - 1) + 1) for i in range(g.edge_count))):
+        rainbow = [side for side, cut in cuts if len({colors[e] for e in cut}) == len(cut)]
+        if all(any((s in side) != (t in side) for side in rainbow) for s, t in pairs):
+            return EdgeColoring(colors, k)
+    return None
 
 
 def cycle_edge_sets(g: Graph) -> set[frozenset[int]]:

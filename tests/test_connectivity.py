@@ -162,9 +162,11 @@ class TestGomoryHu:
         assert all(f == 3 for f in tree.flow[1:])
 
     def test_min_on_path_equals_direct_flow(self):
+        # the tree promises flow equivalence only, so every pair is checked
         rng = random.Random(31)
-        for _ in range(40):
-            g = random_connected_graph(rng, rng.randint(2, 8))
+        graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+        graphs += [random_connected_graph(rng, rng.randint(2, 8)) for _ in range(40)]
+        for g in graphs:
             tree = gomory_hu(g)
             n = g.vertex_count
             for s in range(n):

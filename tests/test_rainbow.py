@@ -27,8 +27,8 @@ from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark,
 from corpus import (all_connected_graphs, bridged_cubic_pair, cubic_3ec_corpus,
                     cubic_not_3ec_graph, k33_graph, random_coloring,
                     random_connected_graph, relabel, truncate, two_hub_graph)
-from oracles import (bipartition_sides, crossing_edges, rainbow_cut_exists_oracle,
-                     rainbow_disconnected_oracle, rd_oracle)
+from oracles import (bipartition_sides, crossing_edges, first_level_coloring_oracle,
+                     rainbow_cut_exists_oracle, rainbow_disconnected_oracle, rd_oracle)
 
 
 def mono(g: Graph) -> EdgeColoring:
@@ -501,8 +501,8 @@ class TestRdExact:
 
     def test_sparse_24_vertices_within_small_budget(self, searched_levels):
         # a level search spends nodes only on the bipartitions it lists, so
-        # n = 24 can fit a budget of 1e5; the graphs whose tables outgrow it
-        # still exit on the budget
+        # n = 24 can fit a budget of 1e5; the graphs whose listings outgrow
+        # it still exit on the budget
         rng = random.Random(43)
         answered = 0
         for _ in range(8):
@@ -516,15 +516,31 @@ class TestRdExact:
         assert answered >= 6
         assert searched_levels
 
-    def test_level_table_past_two_to_the_20_entries(self):
-        # level 2 of a 64-cycle with a pendant vertex has about 1.1e6
-        # (candidate, separated pair) entries, so each candidate keeps only
-        # its side and lists its pairs again whenever it dies or revives
+    def test_level_search_on_a_million_separated_pairs(self):
+        # level 2 of a 64-cycle with a pendant vertex lists 2,018 candidates,
+        # which separate about 1.4e6 vertex pairs counted once per candidate;
+        # the search keeps one code per vertex, not one entry per such pair
         n = 64
         g = Graph(n + 1, tuple((i, (i + 1) % n) for i in range(n)) + ((0, n),))
         c = rainbow_module._search_disconnection_coloring(g, 2, DEFAULT_NODE_BUDGET)
         assert c is not None and is_rainbow_disconnected(g, c).ok
         assert rainbow_module._search_disconnection_coloring(g, 1, DEFAULT_NODE_BUDGET) is None
+
+    def test_level_search_returns_the_first_coloring(self):
+        # the witness of a level is the lexicographically first coloring
+        # under its symmetry breaking, or None when the level has none
+        rng = random.Random(5)
+        graphs = [g for n in range(2, 6) for g in all_connected_graphs(n) if g.edge_count <= 7]
+        graphs += [random_connected_graph(rng, rng.randint(5, 7), max_extra=2)
+                   for _ in range(15)]
+        found = 0
+        for g in graphs:
+            for k in range(1, g.max_degree + 1):
+                want = first_level_coloring_oracle(g, k)
+                assert rainbow_module._search_disconnection_coloring(
+                    g, k, DEFAULT_NODE_BUDGET) == want
+                found += want is not None
+        assert found >= 1000
 
     def test_matches_level_search_on_small_graphs(self):
         # an independent cross-check of level Delta, which rd_exact settles
