@@ -30,7 +30,9 @@ class NodeBudget:
     ``operation``. A ``node_budget`` bounds each exhaustive search on its
     own: one level of one block's rd search (bipartition placements, the
     vertex pairs each listed bipartition separates, and colors tried), one
-    chi' search, one vertex pair's cut search."""
+    chi' search, one vertex pair's cut search (in find_rainbow_cut_exact,
+    the CDCL solver's decisions plus conflicts; in the all-pairs check,
+    bipartition placements)."""
 
     __slots__ = ("remaining", "total", "operation")
 

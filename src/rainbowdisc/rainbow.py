@@ -42,6 +42,14 @@ def _dense_colors(c: EdgeColoring) -> tuple[list[int], int]:
     return [ids[col] for col in c.colors], len(ids)
 
 
+def _color_classes(c: EdgeColoring) -> dict[int, list[int]]:
+    """The edge ids of each color, colors in order of first use."""
+    classes: dict[int, list[int]] = {}
+    for eid, col in enumerate(c.colors):
+        classes.setdefault(col, []).append(eid)
+    return classes
+
+
 def find_rainbow_cut_fixed_k(g: Graph, c: EdgeColoring, s: int,
                              t: int) -> CutCertificate | None:
     """The paper's rainbow s-t cut search for a coloring with k distinct
@@ -55,9 +63,7 @@ def find_rainbow_cut_fixed_k(g: Graph, c: EdgeColoring, s: int,
     g.check_coloring(c)
     check_pair(g.vertex_count, s, t)
     g.check_connected()
-    classes: dict[int, list[int]] = {}
-    for eid, col in enumerate(c.colors):
-        classes.setdefault(col, []).append(eid)
+    classes = _color_classes(c)
     option_lists: list[list[int | None]] = [[None] + classes[col] for col in sorted(classes)]
     for combo in itertools.product(*option_lists):
         cut = frozenset(e for e in combo if e is not None)
@@ -73,32 +79,71 @@ def find_rainbow_cut_fixed_k(g: Graph, c: EdgeColoring, s: int,
 
 def find_rainbow_cut_exact(g: Graph, c: EdgeColoring, s: int, t: int,
                            node_budget: int = DEFAULT_NODE_BUDGET) -> CutCertificate | None:
-    """Complete rainbow s-t cut search for arbitrary palettes.
+    """Complete rainbow s-t cut search for arbitrary palettes, by the CDCL
+    solver of rainbowdisc.sat on a CNF of the sides.
 
-    The first bipartition _sides lists with s and t apart and no color
-    repeated among its crossing edges; complete because the boundary of the
-    s side of any rainbow cut is itself a rainbow s-t cut. At most
-    2n * prod(|color class| + 1) nodes are spent: polynomial for a fixed
-    number of colors, like find_rainbow_cut_fixed_k.
+    Variable x_v (v + 1) is True when v is on t's side; units fix s and t.
+    Each edge whose color class has two or more edges gets a crossing
+    variable y_e, forced by (x_u and not x_v) or (not x_u and x_v), and a
+    sequential counter (Sinz 2005) keeps at most one y_e per class. The
+    solver decides the x_v alone, False first, so the star of t is the
+    first side tried; once every side is set without a conflict, the
+    crossing edges are rainbow. Complete because the boundary of the s side
+    of any rainbow cut is itself a rainbow s-t cut. The budget counts
+    decisions plus conflicts.
     """
     g.check_coloring(c)
     check_pair(g.vertex_count, s, t)
     g.check_connected()
-    dense, distinct = _dense_colors(c)
-    return _rainbow_cut(g, c, dense, distinct, s, t, node_budget)
+    # imported here: only cut and verify-reduction run the solver, so no
+    # other command's cold start compiles it
+    from .sat import solve
+    n = g.vertex_count
+    clauses = [[-(s + 1)], [t + 1]]
+    top = n  # the last variable numbered
+    for members in _color_classes(c).values():
+        if len(members) < 2:
+            continue
+        before = 0  # counter variable "some earlier y of this class is True"
+        for i, eid in enumerate(members):
+            u, v = g.edges[eid]
+            y = top = top + 1
+            clauses += [-(u + 1), v + 1, y], [u + 1, -(v + 1), y]
+            if before:
+                clauses.append([-y, -before])
+            if i < len(members) - 1:
+                count = top = top + 1
+                clauses.append([-y, count])
+                if before:
+                    clauses.append([-before, count])
+                before = count
+    model = solve(clauses, top, NodeBudget(node_budget, "rainbow cut search").spend,
+                  branch_count=n)
+    return None if model is None else _rainbow_certificate(g, c, model[:n])
 
 
 def _rainbow_cut(g: Graph, c: EdgeColoring, dense: list[int], distinct: int,
                  s: int, t: int, node_budget: int) -> CutCertificate | None:
-    """The bipartition search behind find_rainbow_cut_exact, on inputs the
-    caller has validated; ``dense`` and ``distinct`` come from _dense_colors(c)."""
+    """The first bipartition _sides lists with s and t apart and no color
+    repeated among its crossing edges, on inputs the caller has validated;
+    ``dense`` and ``distinct`` come from _dense_colors(c). Complete for the
+    same reason as find_rainbow_cut_exact. At most 2n * prod(|color class|
+    + 1) nodes are spent: polynomial for a fixed number of colors, like
+    find_rainbow_cut_fixed_k."""
     spend = NodeBudget(node_budget, "rainbow cut search").spend
     for side in _sides(g, dense, distinct, 1, s, t, spend):
-        cert = certificate_from_side(g, (v for v in range(g.vertex_count) if side[v] == 0))
-        if not is_rainbow(c, cert.cut_edges):
-            raise RuntimeError("search returned a non-rainbow cut")
-        return cert
+        return _rainbow_certificate(g, c, side)
     return None
+
+
+def _rainbow_certificate(g: Graph, c: EdgeColoring,
+                         side: list[int] | list[bool]) -> CutCertificate:
+    """The cut whose s side holds the vertices v with side[v] false (0 or
+    False), checked to be rainbow."""
+    cert = certificate_from_side(g, (v for v in range(g.vertex_count) if not side[v]))
+    if not is_rainbow(c, cert.cut_edges):
+        raise RuntimeError("search returned a non-rainbow cut")
+    return cert
 
 
 def _sides(g: Graph, labels: list[int], label_count: int, cap: int, s: int,

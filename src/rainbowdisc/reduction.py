@@ -294,8 +294,12 @@ def verify_reduction(f: CnfFormula, *,
 def reduction_sidecar(artifact: ReductionArtifact, tool_version: str) -> dict:
     """JSON-ready sidecar for an encoded graph file: endpoints and name
     tables in 1-indexed file labels, plus provenance."""
-    # imported here: hashlib loads OpenSSL, which only reduce-sat needs
-    import hashlib
+    # CPython's own SHA-256, which hashlib falls back to: the same digest
+    # without loading OpenSSL; imported here, as only reduce-sat needs it
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from _sha256 import sha256  # Python 3.10 and 3.11
     return {
         "s": artifact.s + 1,
         "t": artifact.t + 1,
@@ -304,7 +308,6 @@ def reduction_sidecar(artifact: ReductionArtifact, tool_version: str) -> dict:
         "provenance": {
             "tool": "rainbowdisc",
             "version": tool_version,
-            "formula_sha256": hashlib.sha256(
-                serialize_dimacs_cnf(artifact.formula).encode()).hexdigest(),
+            "formula_sha256": sha256(serialize_dimacs_cnf(artifact.formula).encode()).hexdigest(),
         },
     }

@@ -171,3 +171,38 @@ def sat_oracle(f) -> bool:
         if all(any(vals[abs(lit) - 1] == (lit > 0) for lit in cl) for cl in f.clauses):
             return True
     return False
+
+
+def _propagates_to_conflict(clauses, assumed) -> bool:
+    """Unit propagation over the DIMACS-signed clauses from the assumed
+    literals, by rescanning every clause until nothing changes; True when
+    some clause ends with every literal false."""
+    true = set(assumed)
+    changed = True
+    while changed:
+        changed = False
+        for cl in clauses:
+            if any(lit in true for lit in cl):
+                continue
+            free = {lit for lit in cl if -lit not in true}
+            if not free:
+                return True
+            if len(free) == 1:
+                true |= free
+                changed = True
+    return False
+
+
+def rup_refutes(clauses, learned) -> bool:
+    """Reverse unit propagation check of a refutation (Goldberg and Novikov
+    2003; the RUP part of DRAT-trim, Wetzler, Heule and Hunt 2014): each
+    learned clause follows by unit propagation from the clauses and the
+    learned clauses before it (assuming its literals false propagates to a
+    conflict), and unit propagation over the clauses plus every learned
+    clause ends in a conflict."""
+    known = [list(cl) for cl in clauses]
+    for cl in learned:
+        if not _propagates_to_conflict(known, [-lit for lit in cl]):
+            return False
+        known.append(list(cl))
+    return _propagates_to_conflict(known, [])

@@ -323,6 +323,23 @@ class TestTopLevel:
                              capture_output=True, text=True, timeout=60)
         assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
+    def test_reduce_sat_loads_no_hashlib(self, tmp_path):
+        # the sidecar digest comes from CPython's built-in SHA-256 module
+        import rainbowdisc
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowdisc.__file__)))
+        cnf = write(tmp_path, "f.cnf", CNF_SAT)
+        argv = ["reduce-sat", cnf, "-o", str(tmp_path / "f.graph")]
+        probe = ("import sys\n"
+                 f"sys.path.insert(0, {src!r})\n"
+                 "import rainbowdisc.cli\n"
+                 f"code = rainbowdisc.cli.main({argv!r})\n"
+                 "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+        run = subprocess.run([sys.executable, "-I", "-c", probe],
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout.splitlines()[-1], run.stderr) == (0, "0 []", "")
+        side = json.loads((tmp_path / "f.graph.json").read_text())
+        assert len(side["provenance"]["formula_sha256"]) == 64
+
 
 GRAPH_COMMANDS = ("bounds", "rd-exact", "rd-check", "cut", "cubic3", "chi")
 CNF_COMMANDS = ("reduce-sat", "verify-reduction")

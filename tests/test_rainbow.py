@@ -97,7 +97,9 @@ class TestSides:
 
     def test_cut_listing_matches_oracle(self):
         # one label per color with cap 1 and both ends fixed: every rainbow
-        # s-t cut's s side, the first one being find_rainbow_cut_exact's
+        # s-t cut's s side, the first one being the all-pairs check's search
+        # (_rainbow_cut); find_rainbow_cut_exact finds a valid cut iff one is
+        # listed, and the star of t when that star is rainbow
         rng = random.Random(41)
         for _ in range(300):
             g = random_connected_graph(rng, rng.randint(2, 8))
@@ -113,8 +115,16 @@ class TestSides:
                     expected.add(s_side)
             assert sorted(listed, key=sorted) == sorted(expected, key=sorted)
             assert bool(listed) == rainbow_cut_exists_oracle(g, c, s, t)
-            cert = find_rainbow_cut_exact(g, c, s, t)
+            cert = rainbow_module._rainbow_cut(g, c, *rainbow_module._dense_colors(c), s, t,
+                                               DEFAULT_NODE_BUDGET)
             assert (cert.side_s if cert else None) == (listed[0] if listed else None)
+            found = find_rainbow_cut_exact(g, c, s, t)
+            assert (found is not None) == bool(listed)
+            if found is not None:
+                check_cut_certificate(g, found, s, t)
+                assert is_rainbow(c, found.cut_edges)
+                if is_rainbow(c, [eid for eid, _ in g.adjacency[t]]):
+                    assert found.side_t == {t}
 
 
 class TestFixedK:
@@ -172,10 +182,14 @@ class TestExact:
         assert is_rainbow(art.coloring, cert.cut_edges)
 
     def test_budget_exceeded(self):
-        g = complete_graph(5)
-        c = proper_coloring_delta_plus_one(g)
+        # the encoding of all eight clauses over three variables has no cut,
+        # and refuting it takes more than 2 decisions plus conflicts
+        f = CnfFormula(3, tuple((a, 2 * b, 3 * c)
+                                for a, b, c in itertools.product((1, -1), repeat=3)))
+        art = build_reduction(f)
         with pytest.raises(BudgetExceededError):
-            find_rainbow_cut_exact(g, c, 0, 4, node_budget=2)
+            find_rainbow_cut_exact(art.graph, art.coloring, art.s, art.t, node_budget=2)
+        assert find_rainbow_cut_exact(art.graph, art.coloring, art.s, art.t) is None
 
     def test_agrees_with_fixed_k_and_oracle(self):
         rng = random.Random(13)
@@ -282,9 +296,9 @@ class TestDisconnectionCheck:
     def test_star_first_certificates_match_pair_by_pair_search(self):
         # the verdict and failing pair are the pair-by-pair search's. A pair
         # whose star at t is rainbow takes no search; its certificate is the
-        # one find_rainbow_cut_exact gives, which lists that star first. Any
-        # other pair holds one of at most n - 1 searched cuts, each in at
-        # most two orientations.
+        # one _rainbow_cut gives, which lists that star first. Any other pair
+        # holds one of at most n - 1 searched cuts, each in at most two
+        # orientations.
         rng = random.Random(23)
         graphs = [random_connected_graph(rng, rng.randint(2, 10)) for _ in range(40)]
         graphs += [relabel(random_cubic_graph(n, seed), rng)
@@ -295,8 +309,10 @@ class TestDisconnectionCheck:
             for c in (chromatic_index_exact(g).witness, proper_coloring_delta_plus_one(g),
                       random_coloring(rng, g.edge_count, 3)):
                 want, failing = {}, None
+                dense, distinct = rainbow_module._dense_colors(c)
                 for s, t in itertools.combinations(range(n), 2):
-                    cert = find_rainbow_cut_exact(g, c, s, t)
+                    cert = rainbow_module._rainbow_cut(g, c, dense, distinct, s, t,
+                                                       DEFAULT_NODE_BUDGET)
                     if cert is None:
                         failing = (s, t)
                         break

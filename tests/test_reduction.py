@@ -7,7 +7,7 @@ import pytest
 
 from rainbowdisc import (Assignment, CnfFormatError, CnfFormula, CutCertificate,
                          InvalidInputError, build_cut_from_assignment,
-                         certificate_from_side,
+                         certificate_from_side, check_cut_certificate,
                          build_reduction, extract_assignment_from_cut,
                          find_rainbow_cut_exact, gen_cnf, is_rainbow,
                          parse_dimacs_cnf, reduction_sidecar,
@@ -206,6 +206,33 @@ class TestExtract:
         assert found is not None
         a = extract_assignment_from_cut(art, found)
         assert TWO_CLAUSE.evaluate(a)
+
+    def test_search_cut_exists_iff_satisfiable(self):
+        # the cut search on the encoding decides satisfiability, and every
+        # cut it finds reads back as a satisfying assignment
+        rng = random.Random(53)
+        answers = []
+        for _ in range(200):
+            n = rng.randint(3, 10)
+            f = gen_cnf(n, rng.randint(1, 5 * n), rng.randrange(10000))
+            art = build_reduction(f)
+            found = find_rainbow_cut_exact(art.graph, art.coloring, art.s, art.t)
+            assert (found is not None) == (solve_sat_bruteforce(f) is not None)
+            answers.append(found is not None)
+            if found is not None:
+                check_cut_certificate(art.graph, found, art.s, art.t)
+                assert is_rainbow(art.coloring, found.cut_edges)
+                assert f.evaluate(extract_assignment_from_cut(art, found))
+        assert min(answers.count(True), answers.count(False)) >= 10  # both verdicts occur
+
+    def test_threshold_encoding_answers_within_benchmark_budget(self):
+        # 14 variables at clause ratio 4.26, the largest reduce-sat + cut
+        # size of the sat-cut benchmark
+        f = gen_cnf(14, 60, 0)
+        art = build_reduction(f)
+        found = find_rainbow_cut_exact(art.graph, art.coloring, art.s, art.t,
+                                       node_budget=200_000)
+        assert (found is not None) == (solve_sat_bruteforce(f) is not None)
 
     def test_st_edge_is_the_only_shared_color_crossing(self):
         # the s-t edge's color class also covers every t-hub edge, so a
