@@ -12,9 +12,8 @@ max-degree endpoint of each pair is a rainbow cut).
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .coloring import chromatic_index_exact, is_proper
@@ -32,14 +31,6 @@ def _check_cubic_3ec(g: Graph) -> None:
         raise InvalidInputError("graph is not cubic")
     if not is_connected(g) or global_edge_connectivity(g) < 3:
         raise InvalidInputError("graph is not 3-edge-connected")
-
-
-def _dense_colors(c: EdgeColoring) -> tuple[list[int], int]:
-    """The coloring relabeled to ids 0..d-1 (ascending by original id), and
-    d, the number of distinct colors. Only equality of colors matters to the
-    cut search, so its color counters need d slots, not c.palette."""
-    ids = {col: i for i, col in enumerate(sorted(set(c.colors)))}
-    return [ids[col] for col in c.colors], len(ids)
 
 
 def _color_classes(c: EdgeColoring) -> dict[int, list[int]]:
@@ -122,16 +113,15 @@ def find_rainbow_cut_exact(g: Graph, c: EdgeColoring, s: int, t: int,
     return None if model is None else _rainbow_certificate(g, c, model[:n])
 
 
-def _rainbow_cut(g: Graph, c: EdgeColoring, dense: list[int], distinct: int,
-                 s: int, t: int, node_budget: int) -> CutCertificate | None:
+def _rainbow_cut(g: Graph, c: EdgeColoring, s: int, t: int,
+                 node_budget: int) -> CutCertificate | None:
     """The first bipartition _sides lists with s and t apart and no color
-    repeated among its crossing edges, on inputs the caller has validated;
-    ``dense`` and ``distinct`` come from _dense_colors(c). Complete for the
-    same reason as find_rainbow_cut_exact. At most 2n * prod(|color class|
-    + 1) nodes are spent: polynomial for a fixed number of colors, like
-    find_rainbow_cut_fixed_k."""
+    repeated among its crossing edges, on inputs the caller has validated.
+    Complete for the same reason as find_rainbow_cut_exact. At most
+    2n * prod(|color class| + 1) nodes are spent: polynomial for a fixed
+    number of colors, like find_rainbow_cut_fixed_k."""
     spend = NodeBudget(node_budget, "rainbow cut search").spend
-    for side in _sides(g, dense, distinct, 1, s, t, spend):
+    for side in _sides(g, c.colors, 1, s, t, spend):
         return _rainbow_certificate(g, c, side)
     return None
 
@@ -146,18 +136,19 @@ def _rainbow_certificate(g: Graph, c: EdgeColoring,
     return cert
 
 
-def _sides(g: Graph, labels: list[int], label_count: int, cap: int, s: int,
-           t: int | None, spend: Callable[[], None]) -> Iterator[list[int]]:
+def _sides(g: Graph, labels: Sequence[int], cap: int, s: int, t: int | None,
+           spend: Callable[[], None]) -> Iterator[list[int]]:
     """Every assignment of the connected graph g's vertices to sides 0 and 1
     with s on side 0, t (if given) on side 1 and at most cap crossing edges
-    of each label (edge eid has label labels[eid] < label_count), yielded as
+    of each label (edge eid has label labels[eid], any int), yielded as
     side[v] in one list that the next step changes.
 
-    The next vertex placed is the lowest id next to a placed one, side 0
-    first, one node per placement tried. The crossing edges among placed
-    vertices fix their sides, so a placement putting a label over cap is
-    pruned with its extensions, and every live node at a given depth has its
-    own crossing edge set.
+    The ends are placed first, then the other vertices in breadth-first
+    order from s (graphs._walk), so each is next to a placed one; side 0 is
+    tried first, one node per placement tried. The crossing edges among
+    placed vertices fix their sides, so a placement putting a label over cap
+    is pruned with its extensions, and every live node at a given depth has
+    its own crossing edge set.
     """
     adjacency = g.adjacency
     ends = [s] if t is None else [s, t]
@@ -165,21 +156,11 @@ def _sides(g: Graph, labels: list[int], label_count: int, cap: int, s: int,
     for x, v in enumerate(ends):
         side[v] = x
     # counts[label]: crossing edges of that label between placed vertices
-    counts = [0] * label_count
+    counts = dict.fromkeys(labels, 0)
     for eid, w in adjacency[s]:
         if side[w] == 1:
             counts[labels[eid]] = 1
-    # order: the ends, then each vertex (g is connected) as the lowest id next to an earlier one
-    seen = [x >= 0 for x in side]
-    order = list(ends)
-    frontier: list[int] = []
-    for u in order:
-        for _, w in adjacency[u]:
-            if not seen[w]:
-                seen[w] = True
-                heapq.heappush(frontier, w)
-        if frontier and u == order[-1]:
-            order.append(heapq.heappop(frontier))
+    order = ends + [v for v in _walk(g, s, (), [False] * g.vertex_count) if side[v] < 0]
 
     # Depth first: order[i] goes to side x = 0, then 1, and is kept when no
     # label exceeds cap. The stack of (side, labels bumped) per kept vertex
@@ -242,7 +223,8 @@ class _PairCuts(Mapping[tuple[int, int], CutCertificate]):
         n, code = self._g.vertex_count, self._code
         try:
             s, t = pair
-            settled = 0 <= s < t < n and (s, t) < self._stop
+            settled = (isinstance(s, int) and isinstance(t, int) and 0 <= s < t < n
+                       and (s, t) < self._stop)
         except (TypeError, ValueError):
             settled = False
         if not settled:
@@ -288,15 +270,14 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
     g.check_coloring(c)
     g.check_connected()
     n = g.vertex_count
-    dense, distinct = _dense_colors(c)
-    rainbow_star = [len({dense[eid] for eid, _ in star}) == len(star) for star in g.adjacency]
+    rainbow_star = [len({c.colors[eid] for eid, _ in star}) == len(star) for star in g.adjacency]
     code = [0] * n
     cut_edges: list[frozenset[int]] = []
     for s in range(n):
         for t in range(s + 1, n):
             if rainbow_star[t] or code[s] != code[t]:
                 continue
-            cert = _rainbow_cut(g, c, dense, distinct, s, t, node_budget)
+            cert = _rainbow_cut(g, c, s, t, node_budget)
             if cert is None:
                 return RainbowDisconnectionCheck(
                     False, _PairCuts(g, rainbow_star, code, cut_edges, (s, t)), (s, t))
@@ -327,7 +308,7 @@ def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeCo
     spend = NodeBudget(node_budget, "rainbow disconnection number search").spend
     sides: list[bytes] = []
     edge_subsets: list[list[int]] = [[] for _ in range(m)]
-    for side in _sides(g, [0] * m, 1, k, 0, None, spend):
+    for side in _sides(g, [0] * m, k, 0, None, spend):
         spend(side.count(0) * side.count(1))
         for eid, (u, v) in enumerate(g.edges):
             if side[u] != side[v]:

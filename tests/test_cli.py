@@ -143,6 +143,27 @@ class TestRdExact:
         assert is_proper(g, EdgeColoring(tuple(data["witness_colors"])))
 
 
+def test_color_ids_from_10_to_the_20_keep_verdicts_and_exit_codes(tmp_path, capsys):
+    # only color equality matters, so ids of 10**20 and more answer as small
+    # ids would. On the 6-cycle the stars at 2, 4 and 6 repeat a color, so
+    # rd-check searches three pairs and passes; on the one-color square its
+    # first search fails. A cut between vertices 1 and 2 of a cycle has two
+    # edges, so cut --s 1 --t 2 finds one on the 6-cycle and none on the
+    # square.
+    cases = [(cycle_graph(6), (0, 0, 1, 1, 2, 2), 0, "rainbow disconnected\n", 0),
+             (cycle_graph(4), (0,) * 4, 1, "not rainbow disconnected: failing pair 1 2\n", 1)]
+    for g, small, check_code, verdict, cut_code in cases:
+        huge = tuple(10**20 + 2**70 * col for col in small)
+        path = write(tmp_path, "huge.graph", serialize_graph(g, EdgeColoring(huge)))
+        assert main(["rd-check", path]) == check_code
+        assert capsys.readouterr().out == verdict
+        assert main(["cut", "--json", path, "--s", "1", "--t", "2"]) == cut_code
+        data = json.loads(capsys.readouterr().out)
+        assert data["found"] == (cut_code == 0)
+        if data["found"]:
+            assert sorted(huge[e] for e in data["cut_edges"]) == [10**20, 10**20 + 2**70]
+
+
 class TestRdCheck:
     def test_true(self, tmp_path, capsys):
         path = write(tmp_path, "c4.graph", C4_ALT)

@@ -70,11 +70,10 @@ def searched_levels(monkeypatch):
     return levels
 
 
-def listed_sides(g, labels, label_count, cap, s, t):
+def listed_sides(g, labels, cap, s, t):
     """The side-0 vertex sets that _sides yields, in order."""
     return [frozenset(v for v, x in enumerate(side) if x == 0)
-            for side in rainbow_module._sides(g, labels, label_count, cap, s, t,
-                                              lambda: None)]
+            for side in rainbow_module._sides(g, labels, cap, s, t, lambda: None)]
 
 
 class TestSides:
@@ -90,7 +89,7 @@ class TestSides:
             sizes = {frozenset(side): len(crossing_edges(g, side))
                      for side in bipartition_sides(n)}
             for k in range(1, g.max_degree + 1):
-                listed = listed_sides(g, [0] * g.edge_count, 1, k, 0, None)
+                listed = listed_sides(g, [0] * g.edge_count, k, 0, None)
                 assert len(listed) == len(set(listed))
                 expected = {side for side, size in sizes.items() if 1 <= size <= k}
                 assert set(listed) == expected | {frozenset(range(n))}
@@ -106,7 +105,7 @@ class TestSides:
             c = random_coloring(rng, g.edge_count, rng.randint(1, 5))
             n = g.vertex_count
             s, t = rng.sample(range(n), 2)
-            listed = listed_sides(g, *rainbow_module._dense_colors(c), 1, s, t)
+            listed = listed_sides(g, c.colors, 1, s, t)
             expected = set()
             for side in bipartition_sides(n):
                 s_side = frozenset(side if s in side else set(range(n)) - side)
@@ -115,8 +114,7 @@ class TestSides:
                     expected.add(s_side)
             assert sorted(listed, key=sorted) == sorted(expected, key=sorted)
             assert bool(listed) == rainbow_cut_exists_oracle(g, c, s, t)
-            cert = rainbow_module._rainbow_cut(g, c, *rainbow_module._dense_colors(c), s, t,
-                                               DEFAULT_NODE_BUDGET)
+            cert = rainbow_module._rainbow_cut(g, c, s, t, DEFAULT_NODE_BUDGET)
             assert (cert.side_s if cert else None) == (listed[0] if listed else None)
             found = find_rainbow_cut_exact(g, c, s, t)
             assert (found is not None) == bool(listed)
@@ -248,10 +246,16 @@ class TestDisconnectionCheck:
         assert list(check.certificates) == [(0, 1), (0, 2), (0, 3), (0, 4),
                                             (1, 2), (1, 3), (1, 4)]
         assert check.certificates[(1, 4)] == CutCertificate({1}, {0, 1}, {2, 3, 4})
-        for key in ((2, 3), (2, 4), (1, 1), (4, 1), (0, 5), (-1, 2), 7, (0, 1, 2), None):
+        for key in ((2, 3), (2, 4), (1, 1), (4, 1), (0, 5), (-1, 2), (0, 1.0), (0.0, 2), 7,
+                    (0, 1, 2), None):
             assert key not in check.certificates
             with pytest.raises(KeyError):
                 check.certificates[key]
+        # every star of a proper coloring is rainbow, so a float s must be
+        # refused before the star of t is looked at
+        k4 = complete_graph(4)
+        stars = is_rainbow_disconnected(k4, chromatic_index_exact(k4).witness).certificates
+        assert (0, 2) in stars and (0.0, 2) not in stars
 
     def test_proper_k4_ok(self):
         g = complete_graph(4)
@@ -309,10 +313,8 @@ class TestDisconnectionCheck:
             for c in (chromatic_index_exact(g).witness, proper_coloring_delta_plus_one(g),
                       random_coloring(rng, g.edge_count, 3)):
                 want, failing = {}, None
-                dense, distinct = rainbow_module._dense_colors(c)
                 for s, t in itertools.combinations(range(n), 2):
-                    cert = rainbow_module._rainbow_cut(g, c, dense, distinct, s, t,
-                                                       DEFAULT_NODE_BUDGET)
+                    cert = rainbow_module._rainbow_cut(g, c, s, t, DEFAULT_NODE_BUDGET)
                     if cert is None:
                         failing = (s, t)
                         break
@@ -334,9 +336,9 @@ class TestDisconnectionCheck:
         calls = []
         search = rainbow_module._rainbow_cut
 
-        def counting_search(g, c, dense, distinct, s, t, node_budget):
+        def counting_search(g, c, s, t, node_budget):
             calls.append((s, t))
-            return search(g, c, dense, distinct, s, t, node_budget)
+            return search(g, c, s, t, node_budget)
 
         monkeypatch.setattr(rainbow_module, "_rainbow_cut", counting_search)
         # one color on a path: pair (s, s + 1) is searched for s < 198 (the
@@ -376,7 +378,7 @@ class TestDisconnectionCheck:
         assert is_rainbow_disconnected(prism_graph(), PRISM_PROPER).ok
         assert len(calls) == 1
 
-    def test_huge_color_ids_match_dense_ids(self):
+    def test_huge_color_ids_match_small_ids(self):
         # only color equality matters, so ids {0, 1, 10**7} give the verdict,
         # failing pair and certificates of ids {0, 1, 2}, in memory bounded
         # by the graph rather than by the largest id
