@@ -296,9 +296,12 @@ def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeCo
     by _sides, vertex 0 on side 0): no other can be a rainbow cut. Edges are
     colored in order, edge i with colors 0..min(i, k-1) to break symmetry; a
     candidate dies in the branch once a color repeats among its crossing
-    edges. Bit sid of code[v] is v's side in candidate sid while that
-    candidate is live, so a pair has a live candidate separating it exactly
-    when its two codes differ, and the branch ends when two codes are equal.
+    edges. Each set of candidates is one int, bit sid for candidate sid:
+    side1[v] holds the candidates with v on side 1, crossing[e] those that
+    edge e crosses, used[col] those with a colored crossing edge of color
+    col, and live those still alive. A pair has a live candidate separating
+    it exactly when its two vertices' side1 & live differ, so the branch
+    ends when two are equal.
 
     One budget covers the level: a node per placement the listing tries,
     per vertex pair each listed candidate separates, spent before the
@@ -306,34 +309,23 @@ def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeCo
     """
     n, m = g.vertex_count, g.edge_count
     spend = NodeBudget(node_budget, "rainbow disconnection number search").spend
-    sides: list[bytes] = []
-    edge_subsets: list[list[int]] = [[] for _ in range(m)]
+    rows = bytearray()  # the listed sides, n bytes each
     for side in _sides(g, [0] * m, k, 0, None, spend):
         spend(side.count(0) * side.count(1))
-        for eid, (u, v) in enumerate(g.edges):
-            if side[u] != side[v]:
-                edge_subsets[eid].append(len(sides))
-        sides.append(bytes(side))
-    # code[v] read off column v of the sides, candidate 0 as the lowest bit
-    rows = b"".join(sides)
-    code = [int(b"0" + rows[v::n][::-1].translate(_BINARY_DIGITS), 2) for v in range(n)]
+        rows.extend(side)
+    # side1[v] read off column v of the rows, candidate 0 as the lowest bit
+    side1 = [int(b"0" + rows[v::n][::-1].translate(_BINARY_DIGITS), 2) for v in range(n)]
     del rows
-    if len(set(code)) < n:
+    if len(set(side1)) < n:
         return None
-
-    def flip(sid: int) -> None:
-        """Clear candidate sid's bit on its side-1 vertices as it dies, or
-        set it again as it revives."""
-        bit = 1 << sid
-        for v in itertools.compress(range(n), sides[sid]):
-            code[v] ^= bit
-
-    # smask[sid]: colors on candidate sid's colored crossing edges, -1 once
-    # one repeats. Depth first over (edge i, color col); trails holds one
-    # list of (candidate, old smask) per colored edge, so nothing recurses.
-    smask = [0] * len(sides)
+    crossing = [side1[u] ^ side1[v] for u, v in g.edges]
+    # Depth first over (edge i, color col); trail holds (used[col], live)
+    # from before each colored edge, so nothing recurses. live = -1 holds
+    # every candidate.
+    used = [0] * k
+    live = -1
     assigned = [0] * m
-    trails: list[list[tuple[int, int]]] = []
+    trail: list[tuple[int, int]] = []
     i = col = 0
     while i < m:
         if col > min(i, k - 1):
@@ -342,29 +334,15 @@ def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeCo
             i -= 1
         else:
             spend()
-            bit = 1 << col
-            killed = False
-            trail: list[tuple[int, int]] = []
-            for sid in edge_subsets[i]:
-                cols = smask[sid]
-                if cols < 0:
-                    continue
-                trail.append((sid, cols))
-                if cols & bit:
-                    smask[sid] = -1
-                    flip(sid)
-                    killed = True
-                else:
-                    smask[sid] = cols | bit
+            trail.append((used[col], live))
+            killed = crossing[i] & used[col] & live
+            used[col] |= crossing[i]
+            live ^= killed
             assigned[i] = col
-            trails.append(trail)
-            if not (killed and len(set(code)) < n):
+            if not killed or len({x & live for x in side1}) == n:
                 i, col = i + 1, 0
                 continue
-        for sid, cols in trails.pop():
-            if smask[sid] < 0:
-                flip(sid)
-            smask[sid] = cols
+        used[assigned[i]], live = trail.pop()
         col = assigned[i] + 1
     return EdgeColoring(tuple(assigned), k)
 

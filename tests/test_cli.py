@@ -451,6 +451,21 @@ def test_file_commands_keep_the_exit_code_contract(command, data):
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
 
 
+@pytest.mark.parametrize("command", GRAPH_COMMANDS + CNF_COMMANDS)
+def test_file_that_is_not_utf8_is_an_input_error(command, tmp_path, capsys):
+    # a valid file with one byte that no UTF-8 text holds: exit 3 with one
+    # "error: " line, not a decode traceback
+    text = CNF_SAT if command in CNF_COMMANDS else "p edge 2 1\ne 1 2\n"
+    path = tmp_path / "input"
+    path.write_bytes(text.encode() + b"\xff\n")
+    flags = {"cut": ["--s", "1", "--t", "2"],
+             "reduce-sat": ["-o", str(tmp_path / "out.graph")]}.get(command, [])
+    assert main([command, str(path)] + flags) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "UTF-8" in lines[0]
+
+
 def test_long_path_rd_exact_keeps_the_exit_code_contract(tmp_path, capsys):
     # A path is a tree: every block is a bridge, so rd = 1 with no level
     # search, and its witness check searches at most n - 1 pairs and keeps

@@ -55,6 +55,11 @@ def rd_by_level_search(g: Graph) -> int:
     return g.max_degree + 1
 
 
+def cycle_and_pendant(n: int) -> Graph:
+    """An n-cycle with one pendant vertex, n, joined to vertex 0."""
+    return Graph(n + 1, tuple((i, (i + 1) % n) for i in range(n)) + ((0, n),))
+
+
 @pytest.fixture
 def searched_levels(monkeypatch):
     """The (level k, node_budget) pairs that rd_exact hands to
@@ -537,12 +542,28 @@ class TestRdExact:
     def test_level_search_on_a_million_separated_pairs(self):
         # level 2 of a 64-cycle with a pendant vertex lists 2,018 candidates,
         # which separate about 1.4e6 vertex pairs counted once per candidate;
-        # the search keeps one code per vertex, not one entry per such pair
-        n = 64
-        g = Graph(n + 1, tuple((i, (i + 1) % n) for i in range(n)) + ((0, n),))
-        c = rainbow_module._search_disconnection_coloring(g, 2, DEFAULT_NODE_BUDGET)
+        # the search keeps one bit per candidate and vertex or edge, not one
+        # entry per such pair, nor each candidate's side once it is listed
+        g = cycle_and_pendant(64)
+        tracemalloc.start()
+        try:
+            c = rainbow_module._search_disconnection_coloring(g, 2, DEFAULT_NODE_BUDGET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert c is not None and is_rainbow_disconnected(g, c).ok
+        assert peak < 0.3 * 2**20
         assert rainbow_module._search_disconnection_coloring(g, 1, DEFAULT_NODE_BUDGET) is None
+
+    def test_level_search_node_counts_at_the_budget_boundary(self):
+        # the nodes a level spends in all, with the answer it gives at
+        # exactly that budget: one node fewer exits on the budget
+        cases = [(complete_graph(5), 4, 72, EdgeColoring((0, 0, 0, 0, 1, 2, 3, 3, 2, 1), 4)),
+                 (petersen_graph(), 3, 3394, None), (cycle_and_pendant(64), 1, 4224, None)]
+        for g, k, nodes, want in cases:
+            assert rainbow_module._search_disconnection_coloring(g, k, nodes) == want
+            with pytest.raises(BudgetExceededError):
+                rainbow_module._search_disconnection_coloring(g, k, nodes - 1)
 
     def test_level_search_returns_the_first_coloring(self):
         # the witness of a level is the lexicographically first coloring
