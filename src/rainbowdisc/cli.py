@@ -288,6 +288,10 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        # a resource limit, like the node budget: not a "false" decision
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -72,7 +72,8 @@ class CnfFormula:
         """True iff every clause has a literal matching the assignment."""
         if len(assignment.values) != self.variable_count:
             raise InvalidInputError("assignment length does not match variable count")
-        return all(any(assignment.value(abs(lit)) == (lit > 0) for lit in cl)
+        values = assignment.values
+        return all(any(values[abs(lit) - 1] == (lit > 0) for lit in cl)
                    for cl in self.clauses)
 
 
@@ -142,62 +143,55 @@ class ReductionArtifact:
     formula: CnfFormula
 
 
+def _x(j: int, b: int) -> int:
+    """Vertex x_j^b of variable j."""
+    return 2 * j + b
+
+
+def _c(n: int, i: int, k: int = 0) -> int:
+    """Vertex c_i^k of clause i: the hub c_i for k = 0, else junction k."""
+    return 2 * n + 4 * i - 2 + k
+
+
+def _r(n: int, i: int, k: int) -> int:
+    """Color r_i^k of clause i."""
+    return n + 5 * (i - 1) + k
+
+
 def build_reduction(f: CnfFormula) -> ReductionArtifact:
     """Build the colored graph whose rainbow s-t cuts correspond exactly to
     satisfying assignments of f.
 
-    Vertex ids: s=0, t=1, then x_j^0, x_j^1 per variable, then per clause
-    the hub c_i followed by its junctions c_i^1..c_i^3. Colors: r0 = 0 (the
-    s-t edge and every t-hub edge), r_j = j (both s-edges of variable j),
-    then per clause the literal colors r_i^1..r_i^3, the junction-sink color
-    r_i^4, and the hub-junction color r_i^5. Positive literal j runs its
-    path x_j^0 -> c_i -> c_i^k -> x_j^1; a negative literal swaps source and
-    sink.
+    Vertex ids: s=0, t=1, x_j^b = 2j + b per variable (``_x``), then per
+    clause the hub c_i = 2n + 4i - 2 followed by its junctions c_i^k = c_i + k
+    for k in 1..3 (``_c``). Colors: r0 = 0 (the s-t edge and every t-hub
+    edge), r_j = j (both s-edges of variable j), then r_i^k = n + 5(i - 1) + k
+    (``_r``): the literal colors r_i^1..r_i^3, the junction-sink color r_i^4,
+    and the hub-junction color r_i^5. Positive literal j runs its path
+    x_j^0 -> c_i -> c_i^k -> x_j^1; a negative literal swaps source and sink.
     """
     n, m = f.variable_count, f.clause_count
     vt: dict[str, int] = {"s": 0, "t": 1}
+    ct: dict[str, int] = {f"r{j}": j for j in range(n + 1)}
+    edges = [(0, 1)] + [(1, _c(n, i)) for i in range(1, m + 1)]
+    colors = [0] * (m + 1)
     for j in range(1, n + 1):
-        vt[f"x{j}^0"] = 2 * j
-        vt[f"x{j}^1"] = 2 * j + 1
-    for i in range(1, m + 1):
-        base = 2 * n + 2 + 4 * (i - 1)
-        vt[f"c{i}"] = base
-        for k in (1, 2, 3):
-            vt[f"c{i}^{k}"] = base + k
-    ct: dict[str, int] = {"r0": 0}
-    for j in range(1, n + 1):
-        ct[f"r{j}"] = j
-    for i in range(1, m + 1):
-        for k in range(1, 6):
-            ct[f"r{i}^{k}"] = n + 5 * (i - 1) + k
-    edges: list[tuple[int, int]] = []
-    colors: list[int] = []
-
-    def add(u: int, v: int, col: int) -> None:
-        edges.append((u, v))
-        colors.append(col)
-
-    add(vt["s"], vt["t"], ct["r0"])
-    for i in range(1, m + 1):
-        add(vt["t"], vt[f"c{i}"], ct["r0"])
-    for j in range(1, n + 1):
-        add(vt["s"], vt[f"x{j}^0"], ct[f"r{j}"])
-        add(vt["s"], vt[f"x{j}^1"], ct[f"r{j}"])
+        vt[f"x{j}^0"], vt[f"x{j}^1"] = _x(j, 0), _x(j, 1)
+        edges += [(0, _x(j, 0)), (0, _x(j, 1))]
+        colors += [j, j]
     for i, clause in enumerate(f.clauses, start=1):
+        vt[f"c{i}"] = hub = _c(n, i)
         for k, lit in enumerate(clause, start=1):
+            vt[f"c{i}^{k}"] = junction = _c(n, i, k)
             j = abs(lit)
-            source = vt[f"x{j}^0"] if lit > 0 else vt[f"x{j}^1"]
-            sink = vt[f"x{j}^1"] if lit > 0 else vt[f"x{j}^0"]
-            add(source, vt[f"c{i}"], ct[f"r{i}^{k}"])
-            add(vt[f"c{i}"], vt[f"c{i}^{k}"], ct[f"r{i}^5"])
-            add(vt[f"c{i}^{k}"], sink, ct[f"r{i}^4"])
+            edges += [(_x(j, lit < 0), hub), (hub, junction), (junction, _x(j, lit > 0))]
+            colors += [_r(n, i, k), _r(n, i, 5), _r(n, i, 4)]
+        ct.update((f"r{i}^{k}", _r(n, i, k)) for k in range(1, 6))
     graph = Graph(4 * m + 2 * n + 2, tuple(edges))
     coloring = EdgeColoring(tuple(colors), 5 * m + n + 1)
-    if (graph.vertex_count != 4 * m + 2 * n + 2
-            or graph.edge_count != 10 * m + 2 * n + 1
-            or coloring.color_count != 5 * m + n + 1):
+    if graph.edge_count != 10 * m + 2 * n + 1 or coloring.color_count != 5 * m + n + 1:
         raise RuntimeError("encoded graph has unexpected structure")
-    return ReductionArtifact(graph, coloring, vt["s"], vt["t"], vt, ct, f)
+    return ReductionArtifact(graph, coloring, 0, 1, vt, ct, f)
 
 
 def build_cut_from_assignment(artifact: ReductionArtifact,
@@ -215,18 +209,14 @@ def build_cut_from_assignment(artifact: ReductionArtifact,
     f = artifact.formula
     if not f.evaluate(assignment):
         raise InvalidInputError("assignment does not satisfy the formula")
-    vt = artifact.vertex_table
+    n, values = f.variable_count, assignment.values
     side = {artifact.s}
-    for j in range(1, f.variable_count + 1):
-        keep = f"x{j}^0" if assignment.value(j) else f"x{j}^1"
-        side.add(vt[keep])
+    side.update(_x(j, not values[j - 1]) for j in range(1, n + 1))
     for i, clause in enumerate(f.clauses, start=1):
         falsified = [k for k, lit in enumerate(clause, start=1)
-                     if assignment.value(abs(lit)) != (lit > 0)]
-        if len(falsified) > 2:
-            raise RuntimeError("unsatisfied clause slipped past evaluation")
+                     if values[abs(lit) - 1] != (lit > 0)]
         if len(falsified) == 2:
-            side.add(vt[f"c{i}^{falsified[1]}"])
+            side.add(_c(n, i, falsified[1]))
     cert = certificate_from_side(artifact.graph, side)
     check_cut_certificate(artifact.graph, cert, artifact.s, artifact.t)
     if not is_rainbow(artifact.coloring, cert.cut_edges):
@@ -238,7 +228,8 @@ def extract_assignment_from_cut(artifact: ReductionArtifact,
                                 cut: CutCertificate) -> Assignment:
     """Read a satisfying assignment off a validated rainbow s-t cut.
 
-    After minimizing to the boundary of side_s, variable j is true exactly
+    Reading side_s is enough: the certificate is checked to partition V with
+    every crossing edge cut, and to be rainbow. Variable j is true exactly
     when x_j^0 stays on the s side (its two s-edges share color r_j, so at
     most one is cut). Any rainbow cut admits this reading: a clause with all
     three literals falsified by it would need three crossings from the
@@ -249,8 +240,7 @@ def extract_assignment_from_cut(artifact: ReductionArtifact,
     if not is_rainbow(c, cut.cut_edges):
         raise InvalidInputError("cut is not rainbow")
     f = artifact.formula
-    vt = artifact.vertex_table
-    assignment = Assignment(tuple(vt[f"x{j}^0"] in cut.side_s
+    assignment = Assignment(tuple(_x(j, 0) in cut.side_s
                                   for j in range(1, f.variable_count + 1)))
     if not f.evaluate(assignment):
         raise InvalidInputError("extracted assignment does not satisfy the formula")

@@ -499,3 +499,25 @@ def test_long_path_rd_exact_keeps_the_exit_code_contract(tmp_path, capsys):
     assert run.returncode == 4
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("name, header, command", [
+    ("h.graph", "p edge 5000000 0\n", ["bounds"]),
+    ("h.cnf", "p cnf 3000000 0\n", ["reduce-sat", "-o", "out.graph"]),
+], ids=["bounds", "reduce-sat"])
+def test_out_of_memory_exits_like_a_budget(tmp_path, name, header, command):
+    # a header alone declares millions of vertices or variables; with 256 MiB
+    # of address space building them runs out of memory, which is a resource
+    # limit (exit 4, one error line), not a "false" decision with a traceback
+    path = write(tmp_path, name, header)
+    capped = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+              "from rainbowdisc.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", capped, command[0], path, *command[1:]],
+                         env=env, cwd=tmp_path, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 4
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

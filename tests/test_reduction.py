@@ -1,6 +1,7 @@
 """CNF handling, the SAT-to-rainbow-cut encoding, and witness translation."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -11,8 +12,8 @@ from rainbowdisc import (Assignment, CnfFormatError, CnfFormula, CutCertificate,
                          build_reduction, extract_assignment_from_cut,
                          find_rainbow_cut_exact, gen_cnf, is_rainbow,
                          parse_dimacs_cnf, reduction_sidecar,
-                         serialize_dimacs_cnf, solve_sat_bruteforce,
-                         verify_reduction)
+                         serialize_dimacs_cnf, serialize_graph,
+                         solve_sat_bruteforce, verify_reduction)
 from oracles import sat_oracle
 
 ONE_CLAUSE = CnfFormula(3, ((1, 2, 3),))
@@ -43,6 +44,14 @@ class TestFormula:
     def test_wrong_arity_rejected(self):
         with pytest.raises(InvalidInputError, match="3 literals"):
             CnfFormula(3, ((1, 2),))
+
+    def test_assignment_value_range(self):
+        a = Assignment((True, False, True))
+        assert (a.value(1), a.value(2), a.value(3)) == (True, False, True)
+        for variable in (0, 4):
+            with pytest.raises(InvalidInputError,
+                               match=f"^variable {variable} out of range$"):
+                a.value(variable)
 
 
 class TestDimacs:
@@ -160,6 +169,38 @@ class TestBuild:
 
     def test_deterministic(self):
         assert build_reduction(TWO_CLAUSE) == build_reduction(TWO_CLAUSE)
+
+    def test_tables_follow_the_documented_layout(self):
+        # build_reduction's docstring: s=0, t=1, x_j^b = 2j + b, hub
+        # c_i = 2n + 4i - 2 with junctions c_i + k; r0 = 0, r_j = j,
+        # r_i^k = n + 5(i - 1) + k; keys in exactly this order
+        for f in (CnfFormula(4, ()), ONE_CLAUSE, TWO_CLAUSE, gen_cnf(11, 12, 3)):
+            n, m = f.variable_count, f.clause_count
+            vertices = [("s", 0), ("t", 1)]
+            for j in range(1, n + 1):
+                vertices += [(f"x{j}^0", 2 * j), (f"x{j}^1", 2 * j + 1)]
+            for i in range(1, m + 1):
+                hub = 2 * n + 4 * i - 2
+                vertices += [(f"c{i}", hub)] + [(f"c{i}^{k}", hub + k) for k in (1, 2, 3)]
+            colors = [(f"r{j}", j) for j in range(n + 1)]
+            colors += [(f"r{i}^{k}", n + 5 * (i - 1) + k)
+                       for i in range(1, m + 1) for k in range(1, 6)]
+            art = build_reduction(f)
+            assert list(art.vertex_table.items()) == vertices
+            assert list(art.color_table.items()) == colors
+
+    def test_encoding_bytes_are_pinned(self):
+        # graph files and sidecars of a small grid, byte for byte: any change
+        # to the encoded graph, its colors or its name tables changes this
+        h = hashlib.sha256()
+        for n in range(3, 7):
+            for m in (0, 1, 4, 9):
+                for seed in (0, 1):
+                    art = build_reduction(gen_cnf(n, m, seed))
+                    h.update(serialize_graph(art.graph, art.coloring).encode())
+                    h.update(json.dumps(reduction_sidecar(art, "pinned")).encode())
+        assert h.hexdigest() == (
+            "54242594794ea4800168b8b830e911e006e8faea447538eea6eb363b4e1872c6")
 
 
 class TestCutFromAssignment:
