@@ -8,16 +8,41 @@ every operation in the package; all types are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Container, Iterable
 
 from .errors import GraphFormatError, InvalidInputError
+
+
+def _integer(value: object, what: str) -> int:
+    """value as an int by operator.index, which ints, bools and NumPy
+    integers pass; a float or a string is an input error, not truncated."""
+    try:
+        return index(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise InvalidInputError(f"{what} {value!r} is not an integer") from None
+
+
+class _EdgeError(InvalidInputError):
+    """An edge rule that edge ``edge`` breaks, worded to follow ``edge i:``
+    here and ``line N:`` when parse_graph names the edge's file line."""
+
+    def __init__(self, rule: str, edge: int):
+        super().__init__(rule, edge)
+        self.rule = rule
+        self.edge = edge
+
+    def __str__(self) -> str:
+        return f"edge {self.edge}: {self.rule}"
 
 
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with stable vertex and edge identifiers.
 
-    Rejects self-loops and parallel edges. ``adjacency[v]`` lists
+    Endpoints are integers in 0..n-1 (by ``operator.index``), with no
+    self-loop and no vertex pair twice. Every edge is checked, in order,
+    before the n adjacency lists are allocated. ``adjacency[v]`` lists
     ``(edge_id, neighbor)`` pairs in edge insertion order.
     """
 
@@ -27,23 +52,31 @@ class Graph:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
-        object.__setattr__(self, "edges", edges)
-        if self.vertex_count < 0:
+        n = _integer(self.vertex_count, "vertex count")
+        if n < 0:
             raise InvalidInputError("vertex count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for eid, (u, v) in enumerate(edges):
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise InvalidInputError(f"edge {eid}: endpoint out of range")
+        edges: list[tuple[int, int]] = []
+        seen: set[int] = set()
+        for eid, (u, v) in enumerate(self.edges):
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                raise _EdgeError("endpoint is not an integer", eid) from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise _EdgeError("endpoint out of range", eid)
             if u == v:
-                raise InvalidInputError(f"edge {eid}: self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
+                raise _EdgeError("self-loop", eid)
+            key = u * n + v if u < v else v * n + u
             if key in seen:
-                raise InvalidInputError(f"edge {eid}: parallel edge {key}")
+                raise _EdgeError("parallel to an earlier edge", eid)
             seen.add(key)
+            edges.append((u, v))
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for eid, (u, v) in enumerate(edges):
             adj[u].append((eid, v))
             adj[v].append((eid, u))
+        object.__setattr__(self, "vertex_count", n)
+        object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
 
     @property
@@ -75,7 +108,7 @@ class Graph:
 
 
 def check_vertex(vertex_count: int, v: int) -> None:
-    if not (0 <= v < vertex_count):
+    if not (0 <= _integer(v, "vertex") < vertex_count):
         raise InvalidInputError(f"vertex {v} out of range")
 
 
@@ -89,7 +122,7 @@ def check_pair(vertex_count: int, s: int, t: int) -> None:
 
 def check_edge_id(edge_count: int, e: int) -> None:
     """One id at a time, so that is_rainbow checks ids in its single pass."""
-    if not (0 <= e < edge_count):
+    if not (0 <= _integer(e, "edge id") < edge_count):
         raise InvalidInputError(f"edge id {e} out of range")
 
 
@@ -97,6 +130,7 @@ def check_edge_id(edge_count: int, e: int) -> None:
 class EdgeColoring:
     """Total assignment of color ids to edge ids.
 
+    Colors are integers (by ``operator.index``) in 0..palette-1.
     ``palette`` is the number of color ids available; it defaults to
     ``max(colors) + 1`` (the convention used when reading colored files,
     where the palette is implicit).
@@ -106,14 +140,20 @@ class EdgeColoring:
     palette: int = -1
 
     def __post_init__(self) -> None:
-        colors = tuple(int(c) for c in self.colors)
-        object.__setattr__(self, "colors", colors)
-        if self.palette < 0:
-            object.__setattr__(self, "palette", (max(colors) + 1) if colors else 0)
+        colors: list[int] = []
+        for eid, col in enumerate(self.colors):
+            try:
+                colors.append(index(col))
+            except TypeError:
+                raise _EdgeError(f"color {col!r} is not an integer", eid) from None
+        palette = _integer(self.palette, "palette")
+        if palette < 0:
+            palette = max(max(colors, default=-1) + 1, 0)
         for eid, col in enumerate(colors):
-            if not (0 <= col < self.palette):
-                raise InvalidInputError(
-                    f"edge {eid}: color {col} outside palette of size {self.palette}")
+            if not (0 <= col < palette):
+                raise _EdgeError(f"color {col} outside palette of size {palette}", eid)
+        object.__setattr__(self, "colors", tuple(colors))
+        object.__setattr__(self, "palette", palette)
 
     @property
     def color_count(self) -> int:
@@ -175,15 +215,17 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring | None]:
     """Parse the graph file format.
 
     Header ``p edge <n> <m>`` (the rules of ``read_dimacs``), then ``m``
-    edge lines ``e <u> <v>`` (1-indexed endpoints) or ``e <u> <v> <color>``.
-    Edge lines must be uniformly colored or uniformly uncolored; returns the
-    coloring only in the former case.
+    edge lines ``e <u> <v>`` (1-indexed endpoints) or ``e <u> <v> <color>``
+    of integer tokens. Edge lines must be uniformly colored or uniformly
+    uncolored; returns the coloring only in the former case. Only this
+    syntax is read here. The edge rules are ``Graph``'s and then
+    ``EdgeColoring``'s, checked once the whole file has been read; the
+    first edge that breaks one is reported by its file line.
     """
     n, declared, body = read_dimacs(text, "edge", GraphFormatError)
     edges: list[tuple[int, int]] = []
     colors: list[int] = []
     colored: bool | None = None
-    seen: set[tuple[int, int]] = set()
     for lineno, parts in body:
         if parts[0] != "e":
             raise GraphFormatError(f"line {lineno}: unrecognized line type {parts[0]!r}")
@@ -200,25 +242,17 @@ def parse_graph(text: str) -> tuple[Graph, EdgeColoring | None]:
         elif colored != has_color:
             raise GraphFormatError(
                 f"line {lineno}: mixed colored and uncolored edge lines")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphFormatError(f"line {lineno}: endpoint out of range")
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        if has_color and color < 0:
-            raise GraphFormatError(f"line {lineno}: negative color")
         edges.append((u - 1, v - 1))
         if has_color:
             colors.append(color)
     if len(edges) != declared:
         raise GraphFormatError(
             f"header declares {declared} edges, found {len(edges)}")
-    graph = Graph(n, tuple(edges))
-    coloring = EdgeColoring(tuple(colors)) if colored else None
-    return graph, coloring
+    try:
+        return Graph(n, tuple(edges)), EdgeColoring(tuple(colors)) if colored else None
+    except _EdgeError as exc:
+        # every body line is an edge line, so edge i is on body[i]'s line
+        raise GraphFormatError(f"line {body[exc.edge][0]}: {exc.rule}") from None
 
 
 def serialize_graph(g: Graph, coloring: EdgeColoring | None = None) -> str:

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import index
 
 from .errors import DEFAULT_NODE_BUDGET, CnfFormatError, InvalidInputError
-from .graphs import (CutCertificate, EdgeColoring, Graph, certificate_from_side,
-                     check_cut_certificate, is_rainbow, read_dimacs)
+from .graphs import (CutCertificate, EdgeColoring, Graph, _integer,
+                     certificate_from_side, check_cut_certificate, is_rainbow,
+                     read_dimacs)
 from .rainbow import find_rainbow_cut_exact
 
 MAX_BRUTEFORCE_VARIABLES = 24
@@ -44,25 +46,32 @@ class Assignment:
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """3CNF formula; clauses hold DIMACS-signed literals over distinct
-    variables (positive literal j means variable j, negative means its
-    negation)."""
+    """3CNF formula; clauses hold DIMACS-signed integer literals (by
+    ``operator.index``) over distinct variables (positive literal j means
+    variable j, negative means its negation)."""
 
     variable_count: int
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        clauses = tuple(tuple(int(lit) for lit in cl) for cl in self.clauses)
-        object.__setattr__(self, "clauses", clauses)
-        if self.variable_count < 0:
+        n = _integer(self.variable_count, "variable count")
+        if n < 0:
             raise InvalidInputError("variable count must be nonnegative")
-        for idx, cl in enumerate(clauses, start=1):
+        clauses: list[tuple[int, ...]] = []
+        for idx, cl in enumerate(self.clauses, start=1):
+            try:
+                cl = tuple(map(index, cl))
+            except TypeError:
+                raise InvalidInputError(f"clause {idx}: literal is not an integer") from None
             if len(cl) != 3:
                 raise InvalidInputError(f"clause {idx}: exactly 3 literals required")
-            if any(lit == 0 or abs(lit) > self.variable_count for lit in cl):
+            if any(lit == 0 or abs(lit) > n for lit in cl):
                 raise InvalidInputError(f"clause {idx}: literal out of range")
             if len({abs(lit) for lit in cl}) != 3:
                 raise InvalidInputError(f"clause {idx}: variables must be distinct")
+            clauses.append(cl)
+        object.__setattr__(self, "variable_count", n)
+        object.__setattr__(self, "clauses", tuple(clauses))
 
     @property
     def clause_count(self) -> int:

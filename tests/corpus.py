@@ -105,3 +105,30 @@ def relabel(g: Graph, rng: random.Random) -> Graph:
     edges = [(perm[u], perm[v]) for u, v in g.edges]
     rng.shuffle(edges)
     return Graph(g.vertex_count, tuple(edges))
+
+
+def edge_rule_file(bad: str, colors: tuple[int, int, int] | None = None) -> str:
+    """A file of 3 vertices and 3 edges whose edge 1, on line 7 after
+    comment and blank lines, is ``e <bad>``; colors, if given, end the three
+    edge lines in order."""
+    edges = ["1 2", bad, "2 3"]
+    if colors is not None:
+        edges = [f"{e} {col}" for e, col in zip(edges, colors)]
+    lines = ["c edge 1 is on line 7", "p edge 3 3", "", f"e {edges[0]}",
+             "c the next edge line breaks a rule", "", f"e {edges[1]}", f"e {edges[2]}"]
+    return "\n".join(lines) + "\n"
+
+
+# (case id, file text, the rule its line 7 breaks), one case per edge rule
+# in uncolored and colored files: endpoint 0, endpoint n + 1, self-loop, a
+# repeated vertex pair in both orientations, and a negative color
+EDGE_RULE_FILES = [
+    (f"{name}-{kind}", edge_rule_file(bad, colors), rule)
+    for name, bad, rule in (("endpoint-0", "0 3", "endpoint out of range"),
+                            ("endpoint-n+1", "1 4", "endpoint out of range"),
+                            ("self-loop", "3 3", "self-loop"),
+                            ("repeated-pair", "1 2", "parallel to an earlier edge"),
+                            ("reversed-pair", "2 1", "parallel to an earlier edge"))
+    for kind, colors in (("uncolored", None), ("colored", (0, 1, 1)))
+] + [("negative-color", edge_rule_file("1 3", (0, -1, 1)),
+      "color -1 outside palette of size 2")]

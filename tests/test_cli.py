@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -17,7 +18,7 @@ from rainbowdisc import (CnfFormula, EdgeColoring, Graph, is_proper, parse_graph
 from rainbowdisc.cli import main
 from rainbowdisc.generators import (complete_graph, cycle_graph, petersen_graph,
                                     random_cubic_graph)
-from corpus import two_hub_graph
+from corpus import EDGE_RULE_FILES, two_hub_graph
 
 P3_TEXT = "p edge 3 2\ne 1 2\ne 2 3\n"
 C4_MONO = "p edge 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 1 1\n"
@@ -300,6 +301,25 @@ class TestGen:
     def test_unknown_kind_is_usage_error(self):
         assert main(["gen", "moebius"]) == 2
 
+    @pytest.mark.parametrize("argv", [["complete", "--n", "20000"],
+                                      ["cnf", "--n", "5", "--m", "1000000000"]],
+                             ids=["complete", "cnf"])
+    def test_over_the_cap_builds_nothing(self, argv, capsys):
+        # 199,990,000 edges or 10^9 clauses: refused from --n and --m alone
+        tracemalloc.start()
+        try:
+            code = main(["gen"] + argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 2**20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "over the cap of" in lines[0]
+
 
 @pytest.mark.parametrize("command", ("bounds", "rd-exact", "rd-check", "cut", "cubic3",
                                      "chi", "verify-reduction"))
@@ -327,6 +347,17 @@ class TestTopLevel:
     def test_malformed_graph_is_input_error(self, tmp_path, capsys):
         path = write(tmp_path, "bad.graph", "p edge 3 1\ne 1 9\n")
         assert main(["bounds", path]) == 3
+
+    @pytest.mark.parametrize("text", [case[1] for case in EDGE_RULE_FILES],
+                             ids=[case[0] for case in EDGE_RULE_FILES])
+    def test_edge_rule_names_the_file_line(self, tmp_path, capsys, text):
+        # the file's edge 1 is on line 7 and breaks one edge rule
+        path = write(tmp_path, "bad.graph", text)
+        assert main(["bounds", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: line 7: ")
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
@@ -501,6 +532,18 @@ def test_long_path_rd_exact_keeps_the_exit_code_contract(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def run_capped(tmp_path, command, path):
+    """main(command + [path]) in a child process with 256 MiB of address space."""
+    capped = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+              "from rainbowdisc.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", capped, command[0], path, *command[1:]],
+                          env=env, cwd=tmp_path, capture_output=True, text=True,
+                          timeout=60)
+
+
 @pytest.mark.parametrize("name, header, command", [
     ("h.graph", "p edge 5000000 0\n", ["bounds"]),
     ("h.cnf", "p cnf 3000000 0\n", ["reduce-sat", "-o", "out.graph"]),
@@ -509,15 +552,14 @@ def test_out_of_memory_exits_like_a_budget(tmp_path, name, header, command):
     # a header alone declares millions of vertices or variables; with 256 MiB
     # of address space building them runs out of memory, which is a resource
     # limit (exit 4, one error line), not a "false" decision with a traceback
-    path = write(tmp_path, name, header)
-    capped = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
-              "from rainbowdisc.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    run = subprocess.run([sys.executable, "-c", capped, command[0], path, *command[1:]],
-                         env=env, cwd=tmp_path, capture_output=True, text=True,
-                         timeout=60)
+    run = run_capped(tmp_path, command, write(tmp_path, name, header))
     assert run.returncode == 4
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_edge_rules_are_checked_before_the_vertices_are_allocated(tmp_path):
+    # five million declared vertices and one self-loop: Graph rejects the
+    # edge before it allocates a list per vertex, so 256 MiB is plenty
+    run = run_capped(tmp_path, ["bounds"], write(tmp_path, "h.graph", "p edge 5000000 1\ne 1 1\n"))
+    assert (run.returncode, run.stdout, run.stderr) == (3, "", "error: line 2: self-loop\n")

@@ -89,6 +89,12 @@ class TestLocalConnectivity:
         with pytest.raises(InvalidInputError):
             local_edge_connectivity(cycle_graph(4), 1, 1)
 
+    def test_rejects_non_integer_vertex(self):
+        # 1.5 is not a vertex of the path 0-1-2, not vertex 1 truncated
+        path = Graph(3, ((0, 1), (1, 2)))
+        with pytest.raises(InvalidInputError, match="^vertex 1.5 is not an integer$"):
+            local_edge_connectivity(path, 0, 1.5)
+
     def test_rejects_disconnected(self):
         with pytest.raises(InvalidInputError):
             local_edge_connectivity(Graph(4, ((0, 1), (2, 3))), 0, 2)

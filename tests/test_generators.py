@@ -4,6 +4,7 @@ import pytest
 
 from rainbowdisc import (Graph, InvalidInputError, gen_cnf, gen_graph,
                          global_edge_connectivity, is_connected)
+from rainbowdisc import generators
 from rainbowdisc.generators import (GRAPH_KINDS, complete_graph, cycle_graph,
                                     flower_snark, petersen_graph, prism_graph,
                                     random_cubic_graph, random_tree)
@@ -114,6 +115,20 @@ class TestParameterErrors:
     def test_cnf_negative_clauses(self):
         with pytest.raises(InvalidInputError):
             gen_cnf(3, -1, 0)
+
+    def test_cap_on_edges_and_clauses(self, monkeypatch):
+        # the cap is read from n and m: exactly the cap is built, one more is
+        # an input error
+        monkeypatch.setattr(generators, "MAX_GENERATED", 10)
+        assert gen_graph("complete", 5).edge_count == 10
+        assert gen_graph("cycle", 10).edge_count == 10
+        assert gen_graph("tree", 11).edge_count == 10
+        assert gen_cnf(5, 10, 0).clause_count == 10
+        for kind, n in (("complete", 6), ("cycle", 11), ("tree", 12), ("random_cubic", 8)):
+            with pytest.raises(InvalidInputError, match="edges requested, over the cap of 10$"):
+                gen_graph(kind, n)
+        with pytest.raises(InvalidInputError, match="^11 clauses requested, over the cap of 10$"):
+            gen_cnf(5, 11, 0)
 
 
 def test_gen_cnf_shape():

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from rainbowdisc import (CnfFormatError, CutCertificate, EdgeColoring, Graph,
                          GraphFormatError, InvalidInputError, certificate_from_side,
                          check_cut_certificate, components, is_connected,
-                         is_rainbow, parse_graph, separates, serialize_graph)
+                         is_rainbow, parse_graph, reachable_from, separates,
+                         serialize_graph)
 from rainbowdisc.graphs import read_dimacs
-from corpus import random_connected_graph
+from corpus import EDGE_RULE_FILES, random_connected_graph
 from oracles import bipartition_sides, crossing_edges
 
 
@@ -32,24 +33,56 @@ class TestGraphType:
         assert g.min_degree == 2
         assert g.adjacency[0] == ((0, 1), (3, 3))
 
+    # each edge rule's text is parse_graph's too, after "line N: "
     def test_rejects_self_loop(self):
-        with pytest.raises(InvalidInputError):
-            Graph(2, ((0, 0),))
+        with pytest.raises(InvalidInputError, match="^edge 1: self-loop$"):
+            Graph(3, ((0, 1), (2, 2)))
 
     def test_rejects_parallel_edges(self):
-        with pytest.raises(InvalidInputError):
-            Graph(2, ((0, 1), (1, 0)))
+        for repeat in ((0, 1), (1, 0)):
+            with pytest.raises(InvalidInputError,
+                               match="^edge 1: parallel to an earlier edge$"):
+                Graph(2, ((0, 1), repeat))
 
     def test_rejects_out_of_range_endpoint(self):
-        with pytest.raises(InvalidInputError):
-            Graph(2, ((0, 2),))
+        for edge in ((0, 2), (-1, 1)):
+            with pytest.raises(InvalidInputError, match="^edge 0: endpoint out of range$"):
+                Graph(2, (edge,))
 
     def test_coloring_palette_and_color_count(self):
         c = EdgeColoring((0, 2, 2))
         assert c.palette == 3
         assert c.color_count == 2
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError,
+                           match="^edge 1: color 3 outside palette of size 3$"):
             EdgeColoring((0, 3), palette=3)
+        with pytest.raises(InvalidInputError,
+                           match="^edge 0: color -3 outside palette of size 0$"):
+            EdgeColoring((-3, -2))
+
+    def test_non_integer_endpoints_are_rejected(self):
+        for edges in (((0, 1.9), (1, 2)), ((0, 1), ("1", 2))):
+            with pytest.raises(InvalidInputError, match="endpoint is not an integer"):
+                Graph(3, edges)
+        with pytest.raises(InvalidInputError, match="vertex count 3.0 is not an integer"):
+            Graph(3.0, ())
+
+    def test_non_integer_colors_are_rejected(self):
+        with pytest.raises(InvalidInputError, match="edge 0: color 0.7 is not an integer"):
+            EdgeColoring((0.7, 1.2))
+        with pytest.raises(InvalidInputError, match="palette 2.5 is not an integer"):
+            EdgeColoring((0, 1), palette=2.5)
+
+    def test_what_operator_index_accepts_is_stored_as_int(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        g = Graph(Two(), ((True, False),))
+        c = EdgeColoring((True, Two()))
+        assert (g.vertex_count, g.edges, c.colors, c.palette) == (2, ((1, 0),), (1, 2), 3)
+        assert EdgeColoring((0, True), palette=Two()).palette == 2
+        assert all(type(x) is int for x in (g.vertex_count, *g.edges[0], *c.colors))
 
     def test_check_connected(self):
         for g in (Graph(0, ()), Graph(1, ())):
@@ -72,10 +105,6 @@ class TestParse:
         assert c is None
         assert g.vertex_count == 3
         assert g.edges == ((0, 1), (1, 2))
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(GraphFormatError):
-            parse_graph("p edge 2 1\ne 1 1\n")
 
     def test_colored_single_edge(self):
         g, c = parse_graph("p edge 2 1\ne 1 2 7\n")
@@ -109,14 +138,6 @@ class TestParse:
         assert read_dimacs(text, "cnf", CnfFormatError) == (
             3, 1, [(4, ["1", "2"]), (6, ["3", "0"])])
 
-    def test_endpoint_out_of_range(self):
-        with pytest.raises(GraphFormatError):
-            parse_graph("p edge 2 1\ne 1 3\n")
-
-    def test_duplicate_edge(self):
-        with pytest.raises(GraphFormatError):
-            parse_graph("p edge 2 2\ne 1 2\ne 2 1\n")
-
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphFormatError):
             parse_graph("p edge 3 2\ne 1 2\n")
@@ -124,6 +145,24 @@ class TestParse:
     def test_unknown_line_type(self):
         with pytest.raises(GraphFormatError):
             parse_graph("p edge 2 1\nx 1 2\n")
+
+    @pytest.mark.parametrize("text, rule", [case[1:] for case in EDGE_RULE_FILES],
+                             ids=[case[0] for case in EDGE_RULE_FILES])
+    def test_edge_rule_names_the_file_line(self, text, rule):
+        # the bad edge is edge 1 on line 7: the message names the line
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == f"line 7: {rule}"
+
+    def test_declared_count_is_reported_before_edge_rules(self):
+        with pytest.raises(GraphFormatError,
+                           match="^header declares 3 edges, found 2$"):
+            parse_graph("p edge 3 3\ne 1 1\ne 1 2\n")
+
+    def test_endpoint_rules_are_reported_before_colors(self):
+        # the whole graph is checked first, then the coloring
+        with pytest.raises(GraphFormatError, match="^line 3: self-loop$"):
+            parse_graph("p edge 3 2\ne 1 2 -1\ne 3 3 0\n")
 
 
 class TestSerialize:
@@ -201,6 +240,14 @@ class TestComponents:
     def test_edge_id_out_of_range(self):
         with pytest.raises(InvalidInputError):
             components(p3(), {5})
+
+    @pytest.mark.parametrize("walk", [lambda removed: components(p3(), removed),
+                                      lambda removed: reachable_from(p3(), 0, removed)],
+                             ids=["components", "reachable_from"])
+    def test_non_integer_edge_id_rejected(self, walk):
+        # edge id 0.5 names no edge; it is not skipped as "not an edge of the walk"
+        with pytest.raises(InvalidInputError, match="^edge id 0.5 is not an integer$"):
+            walk([0.5])
 
 
 class TestSeparates:

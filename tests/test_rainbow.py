@@ -726,6 +726,18 @@ class TestSplit:
             split_along_rainbow_cut(g, PRISM_PROPER, (6, 7))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: is_rainbow(PRISM_PROPER, [0.5]), "edge id 0.5"),
+    (lambda: find_rainbow_cut_exact(prism_graph(), PRISM_PROPER, 0, 1.5), "vertex 1.5"),
+    (lambda: split_along_rainbow_cut(prism_graph(), PRISM_PROPER, (0.5, 1, 2)),
+     "edge id 0.5"),
+], ids=["is_rainbow", "find_rainbow_cut_exact", "split_along_rainbow_cut"])
+def test_non_integer_ids_are_input_errors(call, message):
+    # an input error, not a bare TypeError from indexing with a float
+    with pytest.raises(InvalidInputError, match=f"^{message} is not an integer$"):
+        call()
+
+
 class TestCertify:
     def test_splitting_scan_is_smallest_valid_split(self):
         # the scan's short test agrees with every check split_along_rainbow_cut

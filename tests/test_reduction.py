@@ -45,6 +45,14 @@ class TestFormula:
         with pytest.raises(InvalidInputError, match="3 literals"):
             CnfFormula(3, ((1, 2),))
 
+    def test_non_integer_literal_rejected(self):
+        # 1.5 is not literal 1 truncated
+        with pytest.raises(InvalidInputError,
+                           match="^clause 1: literal is not an integer$"):
+            CnfFormula(3, ((1.5, -2, 3),))
+        with pytest.raises(InvalidInputError, match="^variable count 3.0 is not an integer$"):
+            CnfFormula(3.0, ())
+
     def test_assignment_value_range(self):
         a = Assignment((True, False, True))
         assert (a.value(1), a.value(2), a.value(3)) == (True, False, True)
