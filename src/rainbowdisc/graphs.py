@@ -40,10 +40,11 @@ class _EdgeError(InvalidInputError):
 class Graph:
     """Simple undirected graph with stable vertex and edge identifiers.
 
-    Endpoints are integers in 0..n-1 (by ``operator.index``), with no
-    self-loop and no vertex pair twice. Every edge is checked, in order,
-    before the n adjacency lists are allocated. ``adjacency[v]`` lists
-    ``(edge_id, neighbor)`` pairs in edge insertion order.
+    Each edge is a pair of endpoints, integers in 0..n-1 (by
+    ``operator.index``), with no self-loop and no vertex pair twice. Every
+    edge is checked, in order, before the n adjacency lists are allocated.
+    ``adjacency[v]`` lists ``(edge_id, neighbor)`` pairs in edge insertion
+    order.
     """
 
     vertex_count: int
@@ -57,7 +58,11 @@ class Graph:
             raise InvalidInputError("vertex count must be nonnegative")
         edges: list[tuple[int, int]] = []
         seen: set[int] = set()
-        for eid, (u, v) in enumerate(self.edges):
+        for eid, edge in enumerate(self.edges):
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise _EdgeError("not a pair of endpoints", eid) from None
             try:
                 u, v = index(u), index(v)
             except TypeError:

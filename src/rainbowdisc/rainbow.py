@@ -74,14 +74,22 @@ def find_rainbow_cut_exact(g: Graph, c: EdgeColoring, s: int, t: int,
     solver of rainbowdisc.sat on a CNF of the sides.
 
     Variable x_v (v + 1) is True when v is on t's side; units fix s and t.
-    Each edge whose color class has two or more edges gets a crossing
-    variable y_e, forced by (x_u and not x_v) or (not x_u and x_v), and a
-    sequential counter (Sinz 2005) keeps at most one y_e per class. The
-    solver decides the x_v alone, False first, so the star of t is the
-    first side tried; once every side is set without a conflict, the
-    crossing edges are rainbow. Complete because the boundary of the s side
-    of any rainbow cut is itself a rainbow s-t cut. The budget counts
-    decisions plus conflicts.
+    Each vertex v other than s and t gets the clause x_v or not x_w1 or ...
+    or not x_wd over its neighbours w: a vertex on s's side has a neighbour
+    there, so no side strands a vertex for the solver to back out of. Each
+    edge whose color class has two or more edges gets a crossing variable
+    y_e, forced by (x_u and not x_v) or (not x_u and x_v). At most one y_e
+    per class holds: pairwise for a class of k <= 5 edges (k(k-1)/2
+    clauses, no more than the 3k - 4 of a counter, and no other variable),
+    by a sequential counter (Sinz 2005) for larger classes.
+
+    The solver decides the x_v alone, False first, so the first side of t
+    tried is t with its degree-1 neighbours other than s, and its cut lies
+    in the star of t. Once every side is set without a conflict, the
+    crossing edges are rainbow. Complete: for any rainbow s-t cut, the
+    component of s within its s side has a boundary that is a rainbow s-t
+    cut too, and that side meets every clause, since each of its vertices
+    but s has a neighbour in it. The budget counts decisions plus conflicts.
     """
     g.check_coloring(c)
     check_pair(g.vertex_count, s, t)
@@ -91,23 +99,29 @@ def find_rainbow_cut_exact(g: Graph, c: EdgeColoring, s: int, t: int,
     from .sat import solve
     n = g.vertex_count
     clauses = [[-(s + 1)], [t + 1]]
+    clauses += ([v + 1] + [-(w + 1) for _, w in g.adjacency[v]]
+                for v in range(n) if v != s and v != t)
     top = n  # the last variable numbered
     for members in _color_classes(c).values():
         if len(members) < 2:
             continue
-        before = 0  # counter variable "some earlier y of this class is True"
-        for i, eid in enumerate(members):
+        ys = []
+        for eid in members:
             u, v = g.edges[eid]
             y = top = top + 1
             clauses += [-(u + 1), v + 1, y], [u + 1, -(v + 1), y]
+            ys.append(y)
+        if len(ys) <= 5:
+            clauses += ([-y, -z] for y, z in itertools.combinations(ys, 2))
+            continue
+        before = 0  # counter variable "some earlier y of this class is True"
+        for y in ys[:-1]:
+            count = top = top + 1
+            clauses.append([-y, count])
             if before:
-                clauses.append([-y, -before])
-            if i < len(members) - 1:
-                count = top = top + 1
-                clauses.append([-y, count])
-                if before:
-                    clauses.append([-before, count])
-                before = count
+                clauses += [-y, -before], [-before, count]
+            before = count
+        clauses.append([-ys[-1], -before])
     model = solve(clauses, top, NodeBudget(node_budget, "rainbow cut search").spend,
                   branch_count=n)
     return None if model is None else _rainbow_certificate(g, c, model[:n])

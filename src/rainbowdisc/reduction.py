@@ -31,12 +31,17 @@ VERIFY_MAX_CLAUSES = 12
 
 @dataclass(frozen=True)
 class Assignment:
-    """Truth values for variables 1..n; values[j-1] is variable j."""
+    """Truth values for variables 1..n; values[j-1] is variable j. Each is a
+    bool: a string, a number or a list is an input error, not coerced."""
 
     values: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(bool(v) for v in self.values))
+        values = tuple(self.values)
+        for j, v in enumerate(values, start=1):
+            if v is not True and v is not False:
+                raise InvalidInputError(f"variable {j}: value {v!r} is not a bool")
+        object.__setattr__(self, "values", values)
 
     def value(self, variable: int) -> bool:
         if not (1 <= variable <= len(self.values)):
@@ -60,7 +65,11 @@ class CnfFormula:
         clauses: list[tuple[int, ...]] = []
         for idx, cl in enumerate(self.clauses, start=1):
             try:
-                cl = tuple(map(index, cl))
+                literals = map(index, cl)  # iter(cl) is taken here
+            except TypeError:
+                raise InvalidInputError(f"clause {idx}: not a sequence of literals") from None
+            try:
+                cl = tuple(literals)
             except TypeError:
                 raise InvalidInputError(f"clause {idx}: literal is not an integer") from None
             if len(cl) != 3:

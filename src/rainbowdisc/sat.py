@@ -97,7 +97,9 @@ def solve(clauses: Iterable[Iterable[int]], variable_count: int, spend: Callable
         heapq.heapify(heap)
 
     for clause in clauses:
-        lits = list(dict.fromkeys(2 * abs(x) + (x < 0) for x in clause))  # watched once each
+        lits = [2 * abs(x) + (x < 0) for x in clause]
+        if len(set(lits)) < len(lits):
+            lits = list(dict.fromkeys(lits))  # watched once each
         if not lits:
             return None
         if len(lits) == 1:

@@ -67,6 +67,12 @@ class TestGraphType:
         with pytest.raises(InvalidInputError, match="vertex count 3.0 is not an integer"):
             Graph(3.0, ())
 
+    def test_edges_of_the_wrong_shape_are_rejected(self):
+        for edges, eid in ((((0, 1, 2),), 0), ((5,), 0), (((0, 1), (1,)), 1)):
+            with pytest.raises(InvalidInputError,
+                               match=f"^edge {eid}: not a pair of endpoints$"):
+                Graph(3, edges)
+
     def test_non_integer_colors_are_rejected(self):
         with pytest.raises(InvalidInputError, match="edge 0: color 0.7 is not an integer"):
             EdgeColoring((0.7, 1.2))

@@ -21,7 +21,7 @@ from rainbowdisc import (DEFAULT_NODE_BUDGET, BudgetExceededError, CnfFormula,
                          is_connected, is_proper, is_rainbow, is_rainbow_disconnected,
                          proper_coloring_delta_plus_one, rd_exact,
                          split_along_rainbow_cut, upper_edge_connectivity)
-from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark,
+from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark, gen_cnf,
                                     petersen_graph, prism_graph, random_cubic_graph,
                                     random_tree)
 from corpus import (all_connected_graphs, bridged_cubic_pair, cubic_3ec_corpus,
@@ -75,6 +75,11 @@ def searched_levels(monkeypatch):
     return levels
 
 
+def assert_no_stranded_vertex(g: Graph, side_s, s: int) -> None:
+    for v in side_s - {s}:
+        assert any(w in side_s for _, w in g.adjacency[v]), v
+
+
 def listed_sides(g, labels, cap, s, t):
     """The side-0 vertex sets that _sides yields, in order."""
     return [frozenset(v for v, x in enumerate(side) if x == 0)
@@ -103,7 +108,10 @@ class TestSides:
         # one label per color with cap 1 and both ends fixed: every rainbow
         # s-t cut's s side, the first one being the all-pairs check's search
         # (_rainbow_cut); find_rainbow_cut_exact finds a valid cut iff one is
-        # listed, and the star of t when that star is rainbow
+        # listed. When the star of t is rainbow it meets no conflict, and t's
+        # side is the closure of {t} under adding a vertex other than s whose
+        # neighbours all lie in it, which is t and its degree-1 neighbours
+        # other than s
         rng = random.Random(41)
         for _ in range(300):
             g = random_connected_graph(rng, rng.randint(2, 8))
@@ -127,7 +135,8 @@ class TestSides:
                 check_cut_certificate(g, found, s, t)
                 assert is_rainbow(c, found.cut_edges)
                 if is_rainbow(c, [eid for eid, _ in g.adjacency[t]]):
-                    assert found.side_t == {t}
+                    assert found.side_t == {t} | {w for _, w in g.adjacency[t]
+                                                  if w != s and len(g.adjacency[w]) == 1}
 
 
 class TestFixedK:
@@ -206,6 +215,46 @@ class TestExact:
             expected = rainbow_cut_exists_oracle(g, c, s, t)
             assert (via_exact is not None) == expected
             assert (via_fixed is not None) == expected
+
+    def test_agrees_with_oracle_on_pendants_and_class_sizes(self):
+        # n <= 6, some graphs with degree-1 vertices at t (t's side holds
+        # them), colored in classes of 2 to 7 edges, so that both the
+        # pairwise (at most 5 edges) and the counter (6 or 7) at-most-one run
+        rng = random.Random(47)
+        class_sizes = set()
+        for _ in range(400):
+            pendants = rng.randint(0, 2)
+            core = random_connected_graph(rng, rng.randint(2, 6 - pendants), max_extra=10)
+            n = core.vertex_count + pendants
+            t = rng.randrange(core.vertex_count)
+            g = Graph(n, core.edges + tuple((t, v) for v in range(core.vertex_count, n)))
+            s = rng.choice([v for v in range(n) if v != t])
+            ids = list(range(g.edge_count))
+            rng.shuffle(ids)
+            colors, col = [0] * g.edge_count, 0
+            while ids:
+                size = rng.randint(2, 7)
+                class_sizes.add(min(size, len(ids)))
+                for eid in ids[:size]:
+                    colors[eid] = col
+                del ids[:size]
+                col += 1
+            c = EdgeColoring(tuple(colors))
+            found = find_rainbow_cut_exact(g, c, s, t)
+            assert (found is not None) == rainbow_cut_exists_oracle(g, c, s, t)
+            if found is not None:
+                check_cut_certificate(g, found, s, t)
+                assert is_rainbow(c, found.cut_edges)
+                assert_no_stranded_vertex(g, found.side_s, s)
+        assert class_sizes >= set(range(2, 8))
+
+    def test_s_side_strands_no_vertex_on_encodings(self):
+        # every vertex of a found s side but s has a neighbour there
+        for seed in range(20):
+            art = build_reduction(gen_cnf(5, 12, seed))
+            found = find_rainbow_cut_exact(art.graph, art.coloring, art.s, art.t)
+            assert found is not None
+            assert_no_stranded_vertex(art.graph, found.side_s, art.s)
 
     def test_few_colors_stay_within_class_product(self):
         # each placed vertex has a placed neighbour, so live nodes at a depth

@@ -53,6 +53,21 @@ class TestFormula:
         with pytest.raises(InvalidInputError, match="^variable count 3.0 is not an integer$"):
             CnfFormula(3.0, ())
 
+    def test_clause_of_the_wrong_shape_rejected(self):
+        with pytest.raises(InvalidInputError,
+                           match="^clause 2: not a sequence of literals$"):
+            CnfFormula(3, ((1, 2, 3), 5))
+
+    def test_assignment_holds_bools_only(self):
+        # no bool() coercion: 'no' is not False, and 1 is not True
+        for values, position, shown in ((("False", 0.5, []), 1, "'False'"),
+                                        ((True, 1, False), 2, "1"),
+                                        ((False, False, "no"), 3, "'no'")):
+            with pytest.raises(InvalidInputError,
+                               match=f"^variable {position}: value {shown} is not a bool$"):
+                Assignment(values)
+        assert Assignment([True, False]).values == (True, False)
+
     def test_assignment_value_range(self):
         a = Assignment((True, False, True))
         assert (a.value(1), a.value(2), a.value(3)) == (True, False, True)
