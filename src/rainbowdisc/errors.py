@@ -2,6 +2,11 @@
 
 DEFAULT_NODE_BUDGET = 10**8
 
+# The most edges or clauses a size request builds: gen_graph and gen_cnf
+# read it from n and m, build_reduction from the formula's n and m. A larger
+# request is an input error, raised before anything is built.
+MAX_GENERATED = 10**5
+
 
 class InvalidInputError(ValueError):
     """Input violates a documented precondition or invariant."""
@@ -45,3 +50,9 @@ class NodeBudget:
         self.remaining -= amount
         if self.remaining < 0:
             raise BudgetExceededError(self.operation, self.total)
+
+
+def check_cap(count: int, items: str) -> None:
+    if count > MAX_GENERATED:
+        raise InvalidInputError(
+            f"{count} {items} requested, over the cap of {MAX_GENERATED}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_cap
 from .graphs import Graph, is_connected
 from .reduction import CnfFormula
 
@@ -17,10 +17,6 @@ GRAPH_KINDS = ("cycle", "tree", "random_cubic", "prism", "petersen", "complete")
 
 # Pairing rounds random_cubic_graph tries before it gives up
 _CUBIC_ATTEMPTS = 10000
-
-# The most edges gen_graph and the most clauses gen_cnf build; a larger
-# request is an input error, raised from n and m before anything is built
-MAX_GENERATED = 10**5
 
 
 def cycle_graph(n: int) -> Graph:
@@ -103,7 +99,7 @@ def random_cubic_graph(n: int, seed: int) -> Graph:
 
 def gen_graph(kind: str, n: int | None = None, seed: int = 0) -> Graph:
     """Dispatch by kind name; kinds with a size take n, seeded kinds use seed.
-    At most MAX_GENERATED edges are built."""
+    At most errors.MAX_GENERATED edges are built."""
     if kind not in GRAPH_KINDS:
         raise InvalidInputError(f"unknown graph kind {kind!r}")
     if kind == "prism":
@@ -113,8 +109,8 @@ def gen_graph(kind: str, n: int | None = None, seed: int = 0) -> Graph:
     if n is None:
         raise InvalidInputError(f"graph kind {kind!r} requires n")
     size = max(n, 0)  # a negative n is rejected by the kind's own rule
-    _check_cap({"cycle": size, "complete": size * (size - 1) // 2, "tree": size - 1,
-                "random_cubic": 3 * size // 2}[kind], "edges")
+    check_cap({"cycle": size, "complete": size * (size - 1) // 2, "tree": size - 1,
+               "random_cubic": 3 * size // 2}[kind], "edges")
     if kind == "cycle":
         return cycle_graph(n)
     if kind == "complete":
@@ -124,21 +120,15 @@ def gen_graph(kind: str, n: int | None = None, seed: int = 0) -> Graph:
     return random_cubic_graph(n, seed)
 
 
-def _check_cap(count: int, items: str) -> None:
-    if count > MAX_GENERATED:
-        raise InvalidInputError(
-            f"{count} {items} requested, over the cap of {MAX_GENERATED}")
-
-
 def gen_cnf(n: int, m: int, seed: int) -> CnfFormula:
     """m random 3-clauses over n variables: three distinct variables drawn
     per clause, each negated with probability one half. At most
-    MAX_GENERATED clauses are built."""
+    errors.MAX_GENERATED clauses are built."""
     if n < 3:
         raise InvalidInputError("need at least 3 variables")
     if m < 0:
         raise InvalidInputError("clause count must be nonnegative")
-    _check_cap(m, "clauses")
+    check_cap(m, "clauses")
     rng = random.Random(seed)
     clauses = []
     for _ in range(m):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import index
-from typing import Container, Iterable
+from typing import Container, Iterable, Iterator
 
 from .errors import GraphFormatError, InvalidInputError
 
@@ -21,6 +21,15 @@ def _integer(value: object, what: str) -> int:
         return index(value)  # type: ignore[arg-type]
     except TypeError:
         raise InvalidInputError(f"{what} {value!r} is not an integer") from None
+
+
+def _iterate(items: object, what: str) -> Iterator:
+    """iter(items); a value that is not iterable, such as an int, is an
+    input error, not a bare TypeError."""
+    try:
+        return iter(items)  # type: ignore[call-overload]
+    except TypeError:
+        raise InvalidInputError(f"{what} {items!r} is not iterable") from None
 
 
 class _EdgeError(InvalidInputError):
@@ -58,7 +67,7 @@ class Graph:
             raise InvalidInputError("vertex count must be nonnegative")
         edges: list[tuple[int, int]] = []
         seen: set[int] = set()
-        for eid, edge in enumerate(self.edges):
+        for eid, edge in enumerate(_iterate(self.edges, "edges")):
             try:
                 u, v = edge
             except (TypeError, ValueError):
@@ -146,7 +155,7 @@ class EdgeColoring:
 
     def __post_init__(self) -> None:
         colors: list[int] = []
-        for eid, col in enumerate(self.colors):
+        for eid, col in enumerate(_iterate(self.colors, "colors")):
             try:
                 colors.append(index(col))
             except TypeError:

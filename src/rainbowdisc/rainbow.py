@@ -13,7 +13,8 @@ max-degree endpoint of each pair is a rainbow cut).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator, Mapping, Sequence
+import random
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .coloring import chromatic_index_exact, is_proper
@@ -527,33 +528,124 @@ def split_along_rainbow_cut(g: Graph, c: EdgeColoring,
     return SplitPair((g1, c1), (g2, c2), x1, x2)
 
 
-def _smallest_splitting_cut(g: Graph, c: EdgeColoring) -> tuple[int, int, int] | None:
+# Seed of the cycle-space labels: the splitting scan returns the same trio
+# for any seed, and a fixed one makes its run time reproducible
+_LABEL_SEED = 0
+
+
+def _cycle_space_labels(g: Graph) -> list[int] | None:
+    """A 64-bit cycle-space label per edge of g (Pritchard and Thurimella,
+    "Fast computation of small cuts via cycle space sampling", ACM TALG
+    2011), or None when g is not connected; O(n + m).
+
+    A breadth-first tree from vertex 0 gives each non-tree edge a label from
+    random.Random(_LABEL_SEED), and each tree edge the XOR of the labels of
+    the non-tree edges with exactly one end in the subtree below it. So an
+    edge's label is the XOR of the labels of the non-tree edges whose tree
+    cycle holds it. A cut (the edges between some vertex set and the rest)
+    meets every cycle an even number of times, so the labels of its edges
+    XOR to 0 for any seed: a bridge has label 0, and the two edges of a
+    2-edge cut have equal labels. The labels of a set of edges that is not
+    a cut XOR to 0 with probability 2^-64.
+    """
+    n = g.vertex_count
+    tree_edge = [-1] * n  # the edge to v's parent
+    seen = [False] * n
+    seen[0] = True
+    order = [0]
+    for x in order:
+        for eid, y in g.adjacency[x]:
+            if not seen[y]:
+                seen[y] = True
+                tree_edge[y] = eid
+                order.append(y)
+    if len(order) < n:
+        return None
+    rng = random.Random(_LABEL_SEED)
+    labels = [0] * g.edge_count
+    below = [0] * n  # XOR of the non-tree labels at the vertices under v
+    for eid, (u, v) in enumerate(g.edges):
+        if tree_edge[u] != eid and tree_edge[v] != eid:
+            labels[eid] = label = rng.getrandbits(64)
+            below[u] ^= label
+            below[v] ^= label
+    for v in reversed(order[1:]):
+        eid = tree_edge[v]
+        labels[eid] = below[v]
+        u, w = g.edges[eid]
+        below[u if w == v else w] ^= below[v]
+    return labels
+
+
+def _labels_show_3ec(labels: list[int] | None) -> bool:
+    """True when the labels of _cycle_space_labels prove their graph
+    3-edge-connected: it is connected, and no label is 0 or repeated, so it
+    has no bridge and no 2-edge cut, for any seed. False proves nothing."""
+    return labels is not None and 0 not in labels and len(set(labels)) == len(labels)
+
+
+def _bond_trios(labels: list[int]) -> Iterator[tuple[int, int, int]]:
+    """In lexicographic order, a superset of the edge-id trios a < b < e
+    that disconnect the graph of labels (its _cycle_space_labels), for any
+    seed.
+
+    A trio that disconnects the graph holds a bond (a cut whose two sides
+    are connected) of one to three edges, and the labels of a bond XOR to 0.
+    So when a or b has label 0, or the two have equal labels, every e is
+    listed; otherwise each e whose label is label[a] ^ label[b] (a 3-edge
+    bond), 0 (a bridge), label[a] or label[b] (a 2-edge bond with a or b).
+    When every label is nonzero and distinct (a 3-edge-connected graph),
+    only the first rule can hold, and each pair costs one dict lookup. A
+    listed trio that does not disconnect has probability 2^-64.
+    """
+    m = len(labels)
+    if _labels_show_3ec(labels):
+        edge_of = {label: eid for eid, label in enumerate(labels)}
+        for a, label_a in enumerate(labels):
+            for b, e in enumerate(map(edge_of.get, map(label_a.__xor__, labels[a + 1:])), a + 1):
+                if e is not None and e > b:
+                    yield a, b, e
+        return
+    holding: dict[int, list[int]] = {}
+    for eid, label in enumerate(labels):
+        holding.setdefault(label, []).append(eid)
+    for a, label_a in enumerate(labels):
+        for b in range(a + 1, m):
+            label_b = labels[b]
+            if not label_a or not label_b or label_a == label_b:
+                thirds: Iterable[int] = range(b + 1, m)
+            else:
+                thirds = sorted({*holding.get(label_a ^ label_b, ()), *holding.get(0, ()),
+                                 *holding[label_a], *holding[label_b]})
+            yield from ((a, b, e) for e in thirds if e > b)
+
+
+def _smallest_splitting_cut(g: Graph, c: EdgeColoring,
+                            labels: list[int]) -> tuple[int, int, int] | None:
     """Lexicographically smallest edge-id triple that is a rainbow cut with
     pairwise disjoint endpoints splitting g into exactly two components.
 
-    g must be 3-edge-connected, as is every graph the splitting scans. Then
-    three edges whose removal disconnects g leave exactly two components,
-    and each of the three crosses between them: a third component, or an
-    edge inside one, would leave some component joined to the rest by
-    fewer than three edges.
+    In a 3-edge-connected g, as is every graph certify splits, three edges
+    whose removal disconnects g leave exactly two components, and each of
+    the three crosses between them: a third component, or an edge inside
+    one, would leave some component joined to the rest by fewer than three
+    edges.
 
-    The trios are scanned in lexicographic order, and a second edge that
-    shares an endpoint or a color with the first is dropped before any third
-    edge is tried.
+    labels are g's _cycle_space_labels, so g is connected. _bond_trios lists
+    the trios that may disconnect g in lexicographic order and skips none
+    that does. Each with six distinct endpoints and three distinct colors is
+    confirmed by a walk, which rejects a false match. So the trio returned
+    is that of a scan over every C(m, 3) trio, for any seed. In a
+    3-edge-connected g the scan costs O(m^2) dict lookups, and a false
+    match (probability 2^-64 per trio) is the only trio walked but not
+    returned.
     """
-    n, m, edges, colors = g.vertex_count, g.edge_count, g.edges, c.colors
-    for a in range(m):
-        ends_a, col_a = edges[a], colors[a]
-        for b in range(a + 1, m):
-            u, v = edges[b]
-            if colors[b] == col_a or u in ends_a or v in ends_a:
-                continue
-            ends_ab, cols_ab = (*ends_a, u, v), (col_a, colors[b])
-            for e in range(b + 1, m):
-                u, v = edges[e]
-                if (colors[e] not in cols_ab and u not in ends_ab and v not in ends_ab
-                        and len(_walk(g, 0, (a, b, e), [False] * n)) < n):
-                    return a, b, e
+    n, edges, colors = g.vertex_count, g.edges, c.colors
+    for trio in _bond_trios(labels):
+        if (len({v for eid in trio for v in edges[eid]}) == 6
+                and len({colors[eid] for eid in trio}) == 3
+                and len(_walk(g, 0, trio, [False] * n)) < n):
+            return trio
     return None
 
 
@@ -576,6 +668,19 @@ def certify_rd3_coloring_proper(g: Graph, c: EdgeColoring, *,
     a part by two whose vertex counts sum to 2 more, and every part is a
     cubic graph, so it has at least 4 vertices; with s splits the s + 1
     final parts hold n + 2s >= 4(s + 1) vertices.
+
+    Each part is labeled once by _cycle_space_labels (a breadth-first tree
+    from vertex 0, 64-bit labels from the fixed seed _LABEL_SEED on the
+    non-tree edges, XORs up the tree), and the labels serve both of its
+    steps. The splitting scan reads its candidate trios off them: every trio
+    that disconnects the part holds a bond of one to three edges, whose
+    labels XOR to 0 for any seed, so no trio is missed, and a walk confirms
+    each trio before it is used. And the part's 3-edge-connectivity is read
+    off them: a spanning tree with every label nonzero and distinct proves
+    it, for any seed, since a bridge has label 0 and a 2-edge cut two equal
+    labels. Only a part whose labels fail that test runs
+    global_edge_connectivity, which decides it, so a label collision can
+    cost a flow but never raises the RuntimeError wrongly.
     """
     _check_cubic_3ec(g)
     g.check_coloring(c)
@@ -586,18 +691,21 @@ def certify_rd3_coloring_proper(g: Graph, c: EdgeColoring, *,
         raise InvalidInputError(
             f"not a rainbow disconnection coloring: pair {check.failing_pair} "
             "has no rainbow cut")
-    stack: list[tuple[Graph, EdgeColoring]] = [(g, c)]
+    # g and every part pushed are 3-edge-connected, so none has labels None
+    stack = [(g, c, _cycle_space_labels(g))]
     while stack:
-        h, hc = stack.pop()
-        cut = _smallest_splitting_cut(h, hc)
+        h, hc, labels = stack.pop()
+        cut = _smallest_splitting_cut(h, hc, labels)  # type: ignore[arg-type]
         if cut is None:
             if not is_proper(h, hc):
                 return False
             continue
         pair = split_along_rainbow_cut(h, hc, cut)
         for part, pcol in (pair.part_1, pair.part_2):
-            if any(d != 3 for d in part.degrees) or global_edge_connectivity(part) < 3:
+            labels = _cycle_space_labels(part)
+            if any(d != 3 for d in part.degrees) or not (
+                    _labels_show_3ec(labels) or global_edge_connectivity(part) >= 3):
                 raise RuntimeError("split produced a part that is not cubic and "
                                    "3-edge-connected")
-            stack.append((part, pcol))
+            stack.append((part, pcol, labels))
     return True

@@ -18,8 +18,8 @@ import itertools
 from dataclasses import dataclass
 from operator import index
 
-from .errors import DEFAULT_NODE_BUDGET, CnfFormatError, InvalidInputError
-from .graphs import (CutCertificate, EdgeColoring, Graph, _integer,
+from .errors import DEFAULT_NODE_BUDGET, CnfFormatError, InvalidInputError, check_cap
+from .graphs import (CutCertificate, EdgeColoring, Graph, _integer, _iterate,
                      certificate_from_side, check_cut_certificate, is_rainbow,
                      read_dimacs)
 from .rainbow import find_rainbow_cut_exact
@@ -37,7 +37,7 @@ class Assignment:
     values: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(self.values)
+        values = tuple(_iterate(self.values, "values"))
         for j, v in enumerate(values, start=1):
             if v is not True and v is not False:
                 raise InvalidInputError(f"variable {j}: value {v!r} is not a bool")
@@ -63,7 +63,7 @@ class CnfFormula:
         if n < 0:
             raise InvalidInputError("variable count must be nonnegative")
         clauses: list[tuple[int, ...]] = []
-        for idx, cl in enumerate(self.clauses, start=1):
+        for idx, cl in enumerate(_iterate(self.clauses, "clauses"), start=1):
             try:
                 literals = map(index, cl)  # iter(cl) is taken here
             except TypeError:
@@ -187,8 +187,13 @@ def build_reduction(f: CnfFormula) -> ReductionArtifact:
     (``_r``): the literal colors r_i^1..r_i^3, the junction-sink color r_i^4,
     and the hub-junction color r_i^5. Positive literal j runs its path
     x_j^0 -> c_i -> c_i^k -> x_j^1; a negative literal swaps source and sink.
+
+    The graph has 10m + 2n + 1 edges. Over errors.MAX_GENERATED of them is an
+    input error, raised before anything is built.
     """
     n, m = f.variable_count, f.clause_count
+    edge_count = 10 * m + 2 * n + 1
+    check_cap(edge_count, "encoding edges")
     vt: dict[str, int] = {"s": 0, "t": 1}
     ct: dict[str, int] = {f"r{j}": j for j in range(n + 1)}
     edges = [(0, 1)] + [(1, _c(n, i)) for i in range(1, m + 1)]
@@ -207,7 +212,7 @@ def build_reduction(f: CnfFormula) -> ReductionArtifact:
         ct.update((f"r{i}^{k}", _r(n, i, k)) for k in range(1, 6))
     graph = Graph(4 * m + 2 * n + 2, tuple(edges))
     coloring = EdgeColoring(tuple(colors), 5 * m + n + 1)
-    if graph.edge_count != 10 * m + 2 * n + 1 or coloring.color_count != 5 * m + n + 1:
+    if graph.edge_count != edge_count or coloring.color_count != 5 * m + n + 1:
         raise RuntimeError("encoded graph has unexpected structure")
     return ReductionArtifact(graph, coloring, 0, 1, vt, ct, f)
 

@@ -7,7 +7,7 @@ answers on small inputs.
 
 from itertools import combinations, product
 
-from rainbowdisc import EdgeColoring, Graph
+from rainbowdisc import EdgeColoring, Graph, reachable_from
 
 
 def bipartition_sides(n: int):
@@ -104,6 +104,28 @@ def cycle_edge_sets(g: Graph) -> set[frozenset[int]]:
                 elif w > start and w not in path:
                     paths.append((w, path + (w,), path_edges + (eid,)))
     return found
+
+
+def splitting_cut_reference(g: Graph, c: EdgeColoring) -> tuple[int, int, int] | None:
+    """The splitting scan as a plain triple loop: the lexicographically
+    first trio a < b < e with six distinct endpoints and three distinct
+    colors whose removal leaves vertex 0 short of some vertex. A second edge
+    sharing an endpoint or a color with the first is dropped before any third
+    edge is tried, so only trios passing both filters are walked."""
+    n, m, edges, colors = g.vertex_count, g.edge_count, g.edges, c.colors
+    for a in range(m):
+        ends_a, col_a = edges[a], colors[a]
+        for b in range(a + 1, m):
+            u, v = edges[b]
+            if colors[b] == col_a or u in ends_a or v in ends_a:
+                continue
+            ends_ab, cols_ab = (*ends_a, u, v), (col_a, colors[b])
+            for e in range(b + 1, m):
+                u, v = edges[e]
+                if (colors[e] not in cols_ab and u not in ends_ab and v not in ends_ab
+                        and len(reachable_from(g, 0, (a, b, e))) < n):
+                    return a, b, e
+    return None
 
 
 def proper_oracle(g: Graph, colors) -> bool:

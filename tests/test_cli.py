@@ -546,16 +546,28 @@ def run_capped(tmp_path, command, path):
 
 @pytest.mark.parametrize("name, header, command", [
     ("h.graph", "p edge 5000000 0\n", ["bounds"]),
-    ("h.cnf", "p cnf 3000000 0\n", ["reduce-sat", "-o", "out.graph"]),
-], ids=["bounds", "reduce-sat"])
+], ids=["bounds"])
 def test_out_of_memory_exits_like_a_budget(tmp_path, name, header, command):
-    # a header alone declares millions of vertices or variables; with 256 MiB
-    # of address space building them runs out of memory, which is a resource
-    # limit (exit 4, one error line), not a "false" decision with a traceback
+    # a header alone declares millions of vertices; with 256 MiB of address
+    # space building them runs out of memory, which is a resource limit
+    # (exit 4, one error line), not a "false" decision with a traceback
     run = run_capped(tmp_path, command, write(tmp_path, name, header))
     assert run.returncode == 4
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("variables", [100_000, 3_000_000])
+def test_encoding_over_the_cap_writes_nothing(tmp_path, variables):
+    # 10m + 2n + 1 encoding edges over the cap of 100,000: refused before the
+    # graph is built (it used to run out of memory under 256 MiB, and
+    # 100,000 variables wrote 10 MB with exit 0)
+    path = write(tmp_path, "h.cnf", f"p cnf {variables} 0\n")
+    run = run_capped(tmp_path, ["reduce-sat", "-o", "out.graph"], path)
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == (f"error: {2 * variables + 1} encoding edges requested, "
+                          "over the cap of 100000\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.cnf"]
 
 
 def test_edge_rules_are_checked_before_the_vertices_are_allocated(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from rainbowdisc import (Graph, InvalidInputError, gen_cnf, gen_graph,
                          global_edge_connectivity, is_connected)
-from rainbowdisc import generators
+from rainbowdisc import errors
 from rainbowdisc.generators import (GRAPH_KINDS, complete_graph, cycle_graph,
                                     flower_snark, petersen_graph, prism_graph,
                                     random_cubic_graph, random_tree)
@@ -119,7 +119,7 @@ class TestParameterErrors:
     def test_cap_on_edges_and_clauses(self, monkeypatch):
         # the cap is read from n and m: exactly the cap is built, one more is
         # an input error
-        monkeypatch.setattr(generators, "MAX_GENERATED", 10)
+        monkeypatch.setattr(errors, "MAX_GENERATED", 10)
         assert gen_graph("complete", 5).edge_count == 10
         assert gen_graph("cycle", 10).edge_count == 10
         assert gen_graph("tree", 11).edge_count == 10

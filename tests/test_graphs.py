@@ -73,6 +73,15 @@ class TestGraphType:
                                match=f"^edge {eid}: not a pair of endpoints$"):
                 Graph(3, edges)
 
+    def test_edges_that_are_not_iterable_are_rejected(self):
+        # an input error, not a bare TypeError from enumerate
+        with pytest.raises(InvalidInputError, match="^edges 5 is not iterable$"):
+            Graph(3, 5)
+
+    def test_colors_that_are_not_iterable_are_rejected(self):
+        with pytest.raises(InvalidInputError, match="^colors 5 is not iterable$"):
+            EdgeColoring(5)
+
     def test_non_integer_colors_are_rejected(self):
         with pytest.raises(InvalidInputError, match="edge 0: color 0.7 is not an integer"):
             EdgeColoring((0.7, 1.2))

@@ -18,7 +18,8 @@ from rainbowdisc import (DEFAULT_NODE_BUDGET, BudgetExceededError, CnfFormula,
                          InvalidInputError, build_reduction, certify_rd3_coloring_proper,
                          chromatic_index_exact, decide_rd_cubic,
                          find_rainbow_cut_exact, find_rainbow_cut_fixed_k,
-                         is_connected, is_proper, is_rainbow, is_rainbow_disconnected,
+                         global_edge_connectivity, is_connected, is_proper, is_rainbow,
+                         is_rainbow_disconnected,
                          proper_coloring_delta_plus_one, rd_exact,
                          split_along_rainbow_cut, upper_edge_connectivity)
 from rainbowdisc.generators import (complete_graph, cycle_graph, flower_snark, gen_cnf,
@@ -28,7 +29,8 @@ from corpus import (all_connected_graphs, bridged_cubic_pair, cubic_3ec_corpus,
                     cubic_not_3ec_graph, k33_graph, random_coloring,
                     random_connected_graph, relabel, truncate, two_hub_graph)
 from oracles import (bipartition_sides, crossing_edges, first_level_coloring_oracle,
-                     rainbow_cut_exists_oracle, rainbow_disconnected_oracle, rd_oracle)
+                     rainbow_cut_exists_oracle, rainbow_disconnected_oracle, rd_oracle,
+                     splitting_cut_reference)
 
 
 def mono(g: Graph) -> EdgeColoring:
@@ -36,6 +38,11 @@ def mono(g: Graph) -> EdgeColoring:
 
 
 PRISM_PROPER = EdgeColoring((3, 1, 2, 3, 1, 2, 1, 2, 3))
+
+
+def splitting_cut(g: Graph, c: EdgeColoring):
+    """The splitting scan of certify on g's cycle-space labels."""
+    return rainbow_module._smallest_splitting_cut(g, c, rainbow_module._cycle_space_labels(g))
 
 
 def assert_valid_certificates(g: Graph, c: EdgeColoring, certificates) -> None:
@@ -806,7 +813,7 @@ class TestCertify:
             for c in colorings:
                 expected = next((trio for trio in itertools.combinations(range(g.edge_count), 3)
                                  if splits(g, c, trio)), None)
-                assert rainbow_module._smallest_splitting_cut(g, c) == expected
+                assert splitting_cut(g, c) == expected
 
     def test_splitting_scan_matches_combinations_reference(self):
         # the pruned nested loops pick the trio the plain lexicographic scan
@@ -826,7 +833,87 @@ class TestCertify:
                 g = random_cubic_graph(n, seed)
                 for c in (chromatic_index_exact(g).witness, random_coloring(rng, g.edge_count, 3),
                           random_coloring(rng, g.edge_count, 5)):
-                    assert rainbow_module._smallest_splitting_cut(g, c) == reference(g, c)
+                    assert splitting_cut(g, c) == reference(g, c)
+
+    def test_labeled_scan_matches_triple_loop_with_one_walk(self, monkeypatch):
+        # the cycle-space labels pick the reference scan's trio on the corpora
+        # above, their truncations under a random relabelling, and class-1
+        # 3-edge-connected random cubic graphs up to n = 60, under proper,
+        # random 3- and random 5-colorings; with the fixed seed each scan
+        # walks only the trio it returns
+        walks = []
+
+        def counting_walk(*args):
+            walks.append(args[2])
+            return graphs_module._walk(*args)
+
+        monkeypatch.setattr(rainbow_module, "_walk", counting_walk)
+        rng = random.Random(31)
+        graphs = [g for _, g in cubic_3ec_corpus(random_count=4)]
+        # K4, K3,3 and the prism (the truncated Petersen graph is class 2)
+        graphs += [relabel(truncate(g), rng) for g in graphs[:3]]
+        for n in (12, 20, 24, 32, 40, 50, 60):
+            seed = 0
+            while (global_edge_connectivity(g := random_cubic_graph(n, seed)) < 3
+                   or chromatic_index_exact(g).chi_prime != 3):
+                seed += 1
+            graphs.append(g)
+        splits = 0
+        for g in graphs:
+            chi = chromatic_index_exact(g)
+            colorings = [random_coloring(rng, g.edge_count, 3),
+                         random_coloring(rng, g.edge_count, 5)]
+            if chi.chi_prime == 3:
+                colorings.append(chi.witness)
+            for c in colorings:
+                walks.clear()
+                trio = splitting_cut(g, c)
+                assert trio == splitting_cut_reference(g, c)
+                assert walks == ([] if trio is None else [trio])
+                splits += trio is not None
+        assert splits > 20
+
+    def test_labels_read_3_edge_connectivity(self, monkeypatch):
+        # the label test agrees with the flow on cubic graphs of lambda 1, 2
+        # and 3, and for any seed passes no graph with a bridge or a 2-edge cut
+        graphs = [g for _, g in cubic_3ec_corpus()]
+        graphs += [cubic_not_3ec_graph(), bridged_cubic_pair(6, 0), bridged_cubic_pair(8, 3)]
+        graphs += [random_cubic_graph(n, seed) for n in (10, 14, 20, 30) for seed in range(6)]
+        lambdas = [global_edge_connectivity(g) for g in graphs]
+        assert set(lambdas) == {1, 2, 3}
+        for g, lam in zip(graphs, lambdas):
+            labels = rainbow_module._cycle_space_labels(g)
+            assert rainbow_module._labels_show_3ec(labels) == (lam >= 3)
+        for seed in range(20):
+            monkeypatch.setattr(rainbow_module, "_LABEL_SEED", seed)
+            for g, lam in zip(graphs, lambdas):
+                if lam < 3:
+                    assert not rainbow_module._labels_show_3ec(
+                        rainbow_module._cycle_space_labels(g))
+        assert rainbow_module._cycle_space_labels(Graph(4, ((0, 1), (2, 3)))) is None
+
+    def test_part_guard_reads_labels_and_confirms_by_flow(self, monkeypatch):
+        # parts whose labels show 3-edge-connectivity run no flow; a part
+        # with a bridge or a 2-edge cut still raises, once the flow agrees
+        flows = []
+
+        def counting_flow(h):
+            flows.append(h.vertex_count)
+            return global_edge_connectivity(h)
+
+        monkeypatch.setattr(rainbow_module, "global_edge_connectivity", counting_flow)
+        g = relabel(truncate(prism_graph()), random.Random(2))
+        c = chromatic_index_exact(g).witness
+        assert certify_rd3_coloring_proper(g, c) is True
+        assert flows == [18]  # the entry check alone
+        for bad in (cubic_not_3ec_graph(), bridged_cubic_pair(6, 0)):
+            part = (bad, EdgeColoring((0,) * bad.edge_count))
+            monkeypatch.setattr(rainbow_module, "split_along_rainbow_cut",
+                                lambda h, hc, cut: rainbow_module.SplitPair(part, part, 0, 0))
+            flows.clear()
+            with pytest.raises(RuntimeError, match="not cubic and 3-edge-connected"):
+                certify_rd3_coloring_proper(g, c)
+            assert flows == [18, bad.vertex_count]
 
     def test_searches_do_not_revalidate_their_own_edge_ids(self, monkeypatch):
         calls = []
@@ -838,7 +925,7 @@ class TestCertify:
         # is_rainbow and components look check_edge_id up in the graphs module
         monkeypatch.setattr(graphs_module, "check_edge_id", counting_check_edge_id)
         for _, g in cubic_3ec_corpus(random_count=2):
-            rainbow_module._smallest_splitting_cut(g, chromatic_index_exact(g).witness)
+            splitting_cut(g, chromatic_index_exact(g).witness)
         assert calls == []
         # the candidate cuts of fixed k are walked unchecked; only the
         # certificate returned is checked for rainbowness

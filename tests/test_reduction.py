@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from rainbowdisc import errors
 from rainbowdisc import (Assignment, CnfFormatError, CnfFormula, CutCertificate,
                          InvalidInputError, build_cut_from_assignment,
                          certificate_from_side, check_cut_certificate,
@@ -57,6 +58,15 @@ class TestFormula:
         with pytest.raises(InvalidInputError,
                            match="^clause 2: not a sequence of literals$"):
             CnfFormula(3, ((1, 2, 3), 5))
+
+    def test_clauses_that_are_not_iterable_rejected(self):
+        # an input error, not a bare TypeError from enumerate
+        with pytest.raises(InvalidInputError, match="^clauses 5 is not iterable$"):
+            CnfFormula(3, 5)
+
+    def test_assignment_values_that_are_not_iterable_rejected(self):
+        with pytest.raises(InvalidInputError, match="^values 5 is not iterable$"):
+            Assignment(5)
 
     def test_assignment_holds_bools_only(self):
         # no bool() coercion: 'no' is not False, and 1 is not True
@@ -189,6 +199,16 @@ class TestBuild:
                 assert sizes[ct[f"r{i}^{k}"]] == 1
             assert sizes[ct[f"r{i}^4"]] == 3
             assert sizes[ct[f"r{i}^5"]] == 3
+
+    def test_cap_on_encoding_edges(self, monkeypatch):
+        # 10m + 2n + 1 edges: exactly the cap is built, more is an input error
+        monkeypatch.setattr(errors, "MAX_GENERATED", 31)
+        assert build_reduction(CnfFormula(15, ())).graph.edge_count == 31
+        assert build_reduction(CnfFormula(10, ((1, 2, 3),))).graph.edge_count == 31
+        for f, edges in ((CnfFormula(16, ()), 33), (CnfFormula(11, ((1, 2, 3),)), 33)):
+            with pytest.raises(InvalidInputError,
+                               match=f"^{edges} encoding edges requested, over the cap of 31$"):
+                build_reduction(f)
 
     def test_deterministic(self):
         assert build_reduction(TWO_CLAUSE) == build_reduction(TWO_CLAUSE)
