@@ -14,24 +14,36 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .coloring import chromatic_index_exact, is_proper
 from .connectivity import blocks, connectivity_range, global_edge_connectivity
 from .errors import DEFAULT_NODE_BUDGET, InvalidInputError, NodeBudget
 from .graphs import (CutCertificate, EdgeColoring, Graph, _walk, certificate_from_side,
-                     check_pair, components, is_connected, is_rainbow)
+                     check_pair, components, is_rainbow)
 
 # bytes 0 and 1 to the digits of int(..., 2)
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _check_cubic_3ec(g: Graph) -> None:
+def _check_cubic_3ec(g: Graph) -> list[int]:
+    """g's _cycle_space_labels, once g is shown cubic and 3-edge-connected.
+
+    Degrees come first, so the labeling, a tree from vertex 0, never sees an
+    empty or non-cubic graph. Labels that are all nonzero and distinct prove
+    3-edge-connectivity for any seed: a bridge has label 0, and the two
+    edges of a 2-edge cut have equal labels. Only labels that do not prove
+    it (a collision, with probability about m^2 2^-65) leave the verdict to
+    global_edge_connectivity.
+    """
     if g.vertex_count == 0 or any(d != 3 for d in g.degrees):
         raise InvalidInputError("graph is not cubic")
-    if not is_connected(g) or global_edge_connectivity(g) < 3:
+    labels = _cycle_space_labels(g)
+    if labels is None or ((0 in labels or len(set(labels)) < len(labels))
+                          and global_edge_connectivity(g) < 3):
         raise InvalidInputError("graph is not 3-edge-connected")
+    return labels
 
 
 def _color_classes(c: EdgeColoring) -> dict[int, list[int]]:
@@ -454,7 +466,9 @@ def decide_rd_cubic(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CubicRd
     It is 3 exactly when the graph has a proper 3-edge-coloring, and 4
     otherwise; the witness is the corresponding proper coloring (proper
     colorings rainbow-disconnect via vertex stars, and connectivity 3 rules
-    out anything smaller).
+    out anything smaller). Any other graph is an input error from
+    _check_cubic_3ec, which runs a flow only when the cycle-space labels do
+    not prove 3-edge-connectivity.
     """
     _check_cubic_3ec(g)
     result = chromatic_index_exact(g, node_budget)
@@ -528,8 +542,9 @@ def split_along_rainbow_cut(g: Graph, c: EdgeColoring,
     return SplitPair((g1, c1), (g2, c2), x1, x2)
 
 
-# Seed of the cycle-space labels: the splitting scan returns the same trio
-# for any seed, and a fixed one makes its run time reproducible
+# Seed of the cycle-space labels: _check_cubic_3ec's verdict and the
+# splitting scan's trio are the same for any seed, and a fixed one makes
+# their run time reproducible
 _LABEL_SEED = 0
 
 
@@ -577,47 +592,28 @@ def _cycle_space_labels(g: Graph) -> list[int] | None:
     return labels
 
 
-def _labels_show_3ec(labels: list[int] | None) -> bool:
-    """True when the labels of _cycle_space_labels prove their graph
-    3-edge-connected: it is connected, and no label is 0 or repeated, so it
-    has no bridge and no 2-edge cut, for any seed. False proves nothing."""
-    return labels is not None and 0 not in labels and len(set(labels)) == len(labels)
-
-
 def _bond_trios(labels: list[int]) -> Iterator[tuple[int, int, int]]:
-    """In lexicographic order, a superset of the edge-id trios a < b < e
-    that disconnect the graph of labels (its _cycle_space_labels), for any
-    seed.
+    """In lexicographic order, the edge-id trios a < b < e whose labels XOR
+    to 0, where labels are the _cycle_space_labels of a 3-edge-connected
+    graph: a superset of the trios that disconnect it, for any seed.
 
-    A trio that disconnects the graph holds a bond (a cut whose two sides
-    are connected) of one to three edges, and the labels of a bond XOR to 0.
-    So when a or b has label 0, or the two have equal labels, every e is
-    listed; otherwise each e whose label is label[a] ^ label[b] (a 3-edge
-    bond), 0 (a bridge), label[a] or label[b] (a 2-edge bond with a or b).
-    When every label is nonzero and distinct (a 3-edge-connected graph),
-    only the first rule can hold, and each pair costs one dict lookup. A
-    listed trio that does not disconnect has probability 2^-64.
+    A trio that disconnects a 3-edge-connected graph is exactly a 3-edge
+    cut, and the labels of a cut XOR to 0 for any labels, so none is missed
+    even when labels collide. Each pair a < b costs one dict lookup of
+    label[a] ^ label[b]. A listed trio that does not disconnect has
+    probability 2^-64.
     """
-    m = len(labels)
-    if _labels_show_3ec(labels):
-        edge_of = {label: eid for eid, label in enumerate(labels)}
-        for a, label_a in enumerate(labels):
-            for b, e in enumerate(map(edge_of.get, map(label_a.__xor__, labels[a + 1:])), a + 1):
-                if e is not None and e > b:
-                    yield a, b, e
-        return
-    holding: dict[int, list[int]] = {}
+    edge_ids: dict[int, list[int]] = {}
     for eid, label in enumerate(labels):
-        holding.setdefault(label, []).append(eid)
+        edge_ids.setdefault(label, []).append(eid)
+    get = edge_ids.get
     for a, label_a in enumerate(labels):
-        for b in range(a + 1, m):
-            label_b = labels[b]
-            if not label_a or not label_b or label_a == label_b:
-                thirds: Iterable[int] = range(b + 1, m)
-            else:
-                thirds = sorted({*holding.get(label_a ^ label_b, ()), *holding.get(0, ()),
-                                 *holding[label_a], *holding[label_b]})
-            yield from ((a, b, e) for e in thirds if e > b)
+        for b, label_b in enumerate(labels[a + 1:], a + 1):
+            ids = get(label_a ^ label_b)
+            if ids:
+                for e in ids:
+                    if e > b:
+                        yield a, b, e
 
 
 def _smallest_splitting_cut(g: Graph, c: EdgeColoring,
@@ -625,20 +621,19 @@ def _smallest_splitting_cut(g: Graph, c: EdgeColoring,
     """Lexicographically smallest edge-id triple that is a rainbow cut with
     pairwise disjoint endpoints splitting g into exactly two components.
 
-    In a 3-edge-connected g, as is every graph certify splits, three edges
-    whose removal disconnects g leave exactly two components, and each of
-    the three crosses between them: a third component, or an edge inside
-    one, would leave some component joined to the rest by fewer than three
-    edges.
+    g must be 3-edge-connected, with labels its _cycle_space_labels, as
+    _check_cubic_3ec returns them for every graph certify splits. Three
+    edges whose removal disconnects such a g leave exactly two components,
+    and each of the three crosses between them: a third component, or an
+    edge inside one, would leave some component joined to the rest by fewer
+    than three edges.
 
-    labels are g's _cycle_space_labels, so g is connected. _bond_trios lists
-    the trios that may disconnect g in lexicographic order and skips none
-    that does. Each with six distinct endpoints and three distinct colors is
-    confirmed by a walk, which rejects a false match. So the trio returned
-    is that of a scan over every C(m, 3) trio, for any seed. In a
-    3-edge-connected g the scan costs O(m^2) dict lookups, and a false
-    match (probability 2^-64 per trio) is the only trio walked but not
-    returned.
+    _bond_trios lists the trios that may disconnect g in lexicographic order
+    and skips none that does. Each with six distinct endpoints and three
+    distinct colors is confirmed by a walk, which rejects a false match. So
+    the trio returned is that of a scan over every C(m, 3) trio, for any
+    seed. The scan costs O(m^2) dict lookups, and a false match
+    (probability 2^-64 per trio) is the only trio walked but not returned.
     """
     n, edges, colors = g.vertex_count, g.edges, c.colors
     for trio in _bond_trios(labels):
@@ -669,20 +664,12 @@ def certify_rd3_coloring_proper(g: Graph, c: EdgeColoring, *,
     cubic graph, so it has at least 4 vertices; with s splits the s + 1
     final parts hold n + 2s >= 4(s + 1) vertices.
 
-    Each part is labeled once by _cycle_space_labels (a breadth-first tree
-    from vertex 0, 64-bit labels from the fixed seed _LABEL_SEED on the
-    non-tree edges, XORs up the tree), and the labels serve both of its
-    steps. The splitting scan reads its candidate trios off them: every trio
-    that disconnects the part holds a bond of one to three edges, whose
-    labels XOR to 0 for any seed, so no trio is missed, and a walk confirms
-    each trio before it is used. And the part's 3-edge-connectivity is read
-    off them: a spanning tree with every label nonzero and distinct proves
-    it, for any seed, since a bridge has label 0 and a 2-edge cut two equal
-    labels. Only a part whose labels fail that test runs
-    global_edge_connectivity, which decides it, so a label collision can
-    cost a flow but never raises the RuntimeError wrongly.
+    g and each part are checked by _check_cubic_3ec, which labels them once
+    by _cycle_space_labels, and the splitting scan reads its candidate
+    trios off the same labels. A part that fails the check raises
+    RuntimeError.
     """
-    _check_cubic_3ec(g)
+    labels = _check_cubic_3ec(g)
     g.check_coloring(c)
     if c.color_count > 3:
         raise InvalidInputError("coloring uses more than 3 distinct colors")
@@ -691,21 +678,20 @@ def certify_rd3_coloring_proper(g: Graph, c: EdgeColoring, *,
         raise InvalidInputError(
             f"not a rainbow disconnection coloring: pair {check.failing_pair} "
             "has no rainbow cut")
-    # g and every part pushed are 3-edge-connected, so none has labels None
-    stack = [(g, c, _cycle_space_labels(g))]
+    stack = [(g, c, labels)]
     while stack:
         h, hc, labels = stack.pop()
-        cut = _smallest_splitting_cut(h, hc, labels)  # type: ignore[arg-type]
+        cut = _smallest_splitting_cut(h, hc, labels)
         if cut is None:
             if not is_proper(h, hc):
                 return False
             continue
         pair = split_along_rainbow_cut(h, hc, cut)
         for part, pcol in (pair.part_1, pair.part_2):
-            labels = _cycle_space_labels(part)
-            if any(d != 3 for d in part.degrees) or not (
-                    _labels_show_3ec(labels) or global_edge_connectivity(part) >= 3):
+            try:
+                labels = _check_cubic_3ec(part)
+            except InvalidInputError:
                 raise RuntimeError("split produced a part that is not cubic and "
-                                   "3-edge-connected")
+                                   "3-edge-connected") from None
             stack.append((part, pcol, labels))
     return True

@@ -45,6 +45,44 @@ def splitting_cut(g: Graph, c: EdgeColoring):
     return rainbow_module._smallest_splitting_cut(g, c, rainbow_module._cycle_space_labels(g))
 
 
+def cubic_lambda_graphs():
+    """(g, lambda) for the 3-edge-connected cubic corpus and cubic graphs of
+    lambda 1 and 2, fixed and random."""
+    graphs = [g for _, g in cubic_3ec_corpus()]
+    graphs += [cubic_not_3ec_graph(), bridged_cubic_pair(6, 0), bridged_cubic_pair(8, 3)]
+    graphs += [random_cubic_graph(n, seed) for n in (10, 14, 20, 30) for seed in range(6)]
+    return [(g, global_edge_connectivity(g)) for g in graphs]
+
+
+def scan_graphs(rng: random.Random):
+    """3-edge-connected cubic graphs for the splitting scan: the corpus,
+    truncations of K4, K3,3 and the prism (the truncated Petersen graph is
+    class 2) under a random relabelling, and class-1 random cubic graphs up
+    to n = 60."""
+    graphs = [g for _, g in cubic_3ec_corpus(random_count=4)]
+    graphs += [relabel(truncate(g), rng) for g in graphs[:3]]
+    for n in (12, 20, 24, 32, 40, 50, 60):
+        seed = 0
+        while (global_edge_connectivity(g := random_cubic_graph(n, seed)) < 3
+               or chromatic_index_exact(g).chi_prime != 3):
+            seed += 1
+        graphs.append(g)
+    return graphs
+
+
+def count_flows(monkeypatch) -> list[int]:
+    """The vertex counts of the graphs _check_cubic_3ec runs a flow on, in
+    call order."""
+    flows = []
+
+    def counting_flow(h):
+        flows.append(h.vertex_count)
+        return global_edge_connectivity(h)
+
+    monkeypatch.setattr(rainbow_module, "global_edge_connectivity", counting_flow)
+    return flows
+
+
 def assert_valid_certificates(g: Graph, c: EdgeColoring, certificates) -> None:
     """Each certificate separates its pair, with s on side_s, by a rainbow cut."""
     for (s, t), cert in certificates.items():
@@ -817,7 +855,8 @@ class TestCertify:
 
     def test_splitting_scan_matches_combinations_reference(self):
         # the pruned nested loops pick the trio the plain lexicographic scan
-        # over every C(m, 3) trio picks
+        # over every C(m, 3) trio picks, on the 3-edge-connected graphs the
+        # scan is defined for
         def reference(g, c):
             n = g.vertex_count
             for trio in itertools.combinations(range(g.edge_count), 3):
@@ -831,6 +870,8 @@ class TestCertify:
         for n in range(8, 22, 2):
             for seed in range(2):
                 g = random_cubic_graph(n, seed)
+                if global_edge_connectivity(g) < 3:
+                    continue
                 for c in (chromatic_index_exact(g).witness, random_coloring(rng, g.edge_count, 3),
                           random_coloring(rng, g.edge_count, 5)):
                     assert splitting_cut(g, c) == reference(g, c)
@@ -849,17 +890,8 @@ class TestCertify:
 
         monkeypatch.setattr(rainbow_module, "_walk", counting_walk)
         rng = random.Random(31)
-        graphs = [g for _, g in cubic_3ec_corpus(random_count=4)]
-        # K4, K3,3 and the prism (the truncated Petersen graph is class 2)
-        graphs += [relabel(truncate(g), rng) for g in graphs[:3]]
-        for n in (12, 20, 24, 32, 40, 50, 60):
-            seed = 0
-            while (global_edge_connectivity(g := random_cubic_graph(n, seed)) < 3
-                   or chromatic_index_exact(g).chi_prime != 3):
-                seed += 1
-            graphs.append(g)
         splits = 0
-        for g in graphs:
+        for g in scan_graphs(rng):
             chi = chromatic_index_exact(g)
             colorings = [random_coloring(rng, g.edge_count, 3),
                          random_coloring(rng, g.edge_count, 5)]
@@ -873,47 +905,91 @@ class TestCertify:
                 splits += trio is not None
         assert splits > 20
 
-    def test_labels_read_3_edge_connectivity(self, monkeypatch):
-        # the label test agrees with the flow on cubic graphs of lambda 1, 2
-        # and 3, and for any seed passes no graph with a bridge or a 2-edge cut
-        graphs = [g for _, g in cubic_3ec_corpus()]
-        graphs += [cubic_not_3ec_graph(), bridged_cubic_pair(6, 0), bridged_cubic_pair(8, 3)]
-        graphs += [random_cubic_graph(n, seed) for n in (10, 14, 20, 30) for seed in range(6)]
-        lambdas = [global_edge_connectivity(g) for g in graphs]
-        assert set(lambdas) == {1, 2, 3}
-        for g, lam in zip(graphs, lambdas):
-            labels = rainbow_module._cycle_space_labels(g)
-            assert rainbow_module._labels_show_3ec(labels) == (lam >= 3)
+    def test_check_reads_labels_and_flows_only_when_they_do_not_prove(self, monkeypatch):
+        # a 3-edge-connected cubic graph gets its labels back with no flow;
+        # for any seed, a cubic graph with a bridge or a 2-edge cut runs
+        # exactly one flow, which rejects it; a disconnected one runs none
+        graphs = cubic_lambda_graphs()
+        assert {lam for _, lam in graphs} == {1, 2, 3}
+        flows = count_flows(monkeypatch)
+        for g, lam in graphs:
+            if lam >= 3:
+                assert rainbow_module._check_cubic_3ec(g) == rainbow_module._cycle_space_labels(g)
+                assert flows == []
         for seed in range(20):
             monkeypatch.setattr(rainbow_module, "_LABEL_SEED", seed)
-            for g, lam in zip(graphs, lambdas):
+            for g, lam in graphs:
                 if lam < 3:
-                    assert not rainbow_module._labels_show_3ec(
-                        rainbow_module._cycle_space_labels(g))
+                    flows.clear()
+                    with pytest.raises(InvalidInputError, match="^graph is not 3-edge-connected$"):
+                        rainbow_module._check_cubic_3ec(g)
+                    assert flows == [g.vertex_count]
+        k4 = complete_graph(4)
+        two_k4 = Graph(8, k4.edges + tuple((u + 4, v + 4) for u, v in k4.edges))
+        flows.clear()
+        with pytest.raises(InvalidInputError, match="^graph is not 3-edge-connected$"):
+            rainbow_module._check_cubic_3ec(two_k4)
+        assert flows == []
         assert rainbow_module._cycle_space_labels(Graph(4, ((0, 1), (2, 3)))) is None
 
-    def test_part_guard_reads_labels_and_confirms_by_flow(self, monkeypatch):
-        # parts whose labels show 3-edge-connectivity run no flow; a part
-        # with a bridge or a 2-edge cut still raises, once the flow agrees
-        flows = []
-
-        def counting_flow(h):
-            flows.append(h.vertex_count)
-            return global_edge_connectivity(h)
-
-        monkeypatch.setattr(rainbow_module, "global_edge_connectivity", counting_flow)
+    def test_certify_and_decide_run_no_flow_and_reject_a_bad_part(self, monkeypatch):
+        # the entry check's labels seed the splitting stack and every part's
+        # labels prove its 3-edge-connectivity, so no flow runs; a part with
+        # a bridge or a 2-edge cut still raises, after one flow
+        flows = count_flows(monkeypatch)
         g = relabel(truncate(prism_graph()), random.Random(2))
         c = chromatic_index_exact(g).witness
+        assert decide_rd_cubic(g).rd_value == 3
         assert certify_rd3_coloring_proper(g, c) is True
-        assert flows == [18]  # the entry check alone
+        assert flows == []
         for bad in (cubic_not_3ec_graph(), bridged_cubic_pair(6, 0)):
             part = (bad, EdgeColoring((0,) * bad.edge_count))
             monkeypatch.setattr(rainbow_module, "split_along_rainbow_cut",
                                 lambda h, hc, cut: rainbow_module.SplitPair(part, part, 0, 0))
-            flows.clear()
-            with pytest.raises(RuntimeError, match="not cubic and 3-edge-connected"):
+            with pytest.raises(RuntimeError, match="not cubic and 3-edge-connected") as caught:
                 certify_rd3_coloring_proper(g, c)
-            assert flows == [18, bad.vertex_count]
+            assert caught.value.__cause__ is None and caught.value.__suppress_context__
+            assert flows == [bad.vertex_count]
+            flows.clear()
+
+    def test_four_bit_labels_keep_check_scan_and_certify_exact(self, monkeypatch):
+        # keeping each label's low 4 bits is XOR-linear, so every cut still
+        # XORs to 0 while labels collide: the check falls back to the flow
+        # with the same verdicts, the scan returns the reference trio, and
+        # certify passes the proper witnesses
+        real = rainbow_module._cycle_space_labels
+
+        def four_bits(g):
+            labels = real(g)
+            return None if labels is None else [label & 15 for label in labels]
+
+        monkeypatch.setattr(rainbow_module, "_cycle_space_labels", four_bits)
+        flows = count_flows(monkeypatch)
+        for g, lam in cubic_lambda_graphs():
+            flows.clear()
+            if lam >= 3:
+                assert rainbow_module._check_cubic_3ec(g) == four_bits(g)
+            else:
+                with pytest.raises(InvalidInputError, match="^graph is not 3-edge-connected$"):
+                    rainbow_module._check_cubic_3ec(g)
+            # 16 label values cannot be nonzero and distinct on more edges
+            if g.edge_count > 15:
+                assert flows == [g.vertex_count]
+        rng = random.Random(31)
+        pairs = splits = 0
+        for g in scan_graphs(rng):
+            chi = chromatic_index_exact(g)
+            colorings = [random_coloring(rng, g.edge_count, 3),
+                         random_coloring(rng, g.edge_count, 5)]
+            if chi.chi_prime == 3:
+                colorings.append(chi.witness)
+                assert certify_rd3_coloring_proper(g, chi.witness) is True
+            for c in colorings:
+                trio = splitting_cut(g, c)
+                assert trio == splitting_cut_reference(g, c)
+                pairs += 1
+                splits += trio is not None
+        assert pairs > 50 and splits > 20
 
     def test_searches_do_not_revalidate_their_own_edge_ids(self, monkeypatch):
         calls = []
