@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .coloring import chromatic_index_exact, is_proper
-from .connectivity import blocks, connectivity_range, global_edge_connectivity
+from .connectivity import blocks, bridges, connectivity_range, global_edge_connectivity
 from .errors import DEFAULT_NODE_BUDGET, InvalidInputError, NodeBudget
 from .graphs import (CutCertificate, EdgeColoring, Graph, _walk, certificate_from_side,
                      check_pair, components, is_rainbow)
@@ -140,19 +140,6 @@ def find_rainbow_cut_exact(g: Graph, c: EdgeColoring, s: int, t: int,
     return None if model is None else _rainbow_certificate(g, c, model[:n])
 
 
-def _rainbow_cut(g: Graph, c: EdgeColoring, s: int, t: int,
-                 node_budget: int) -> CutCertificate | None:
-    """The first bipartition _sides lists with s and t apart and no color
-    repeated among its crossing edges, on inputs the caller has validated.
-    Complete for the same reason as find_rainbow_cut_exact. At most
-    2n * prod(|color class| + 1) nodes are spent: polynomial for a fixed
-    number of colors, like find_rainbow_cut_fixed_k."""
-    spend = NodeBudget(node_budget, "rainbow cut search").spend
-    for side in _sides(g, c.colors, 1, s, t, spend):
-        return _rainbow_certificate(g, c, side)
-    return None
-
-
 def _rainbow_certificate(g: Graph, c: EdgeColoring,
                          side: list[int] | list[bool]) -> CutCertificate:
     """The cut whose s side holds the vertices v with side[v] false (0 or
@@ -229,15 +216,13 @@ def _sides(g: Graph, labels: Sequence[int], cap: int, s: int, t: int | None,
 class _PairCuts(Mapping[tuple[int, int], CutCertificate]):
     """The rainbow cut of each pair (s, t), s < t, that is_rainbow_disconnected
     settled: the pairs before ``stop`` in lexicographic order. A certificate
-    is built when looked up, so memory is the n codes and the searched cuts'
-    edges, not one entry per pair. It is the star of t when that star is
-    rainbow, else searched cut j, the lowest bit where code[s] and code[t]
-    differ, oriented so that s is on side_s."""
+    is built when looked up, so memory is the n codes, not one entry per
+    pair. It is known cut j, the lowest bit where code[s] and code[t]
+    differ: side_s holds the vertices whose bit j is that of s, and the cut
+    is its boundary."""
 
-    def __init__(self, g: Graph, rainbow_star: list[bool], code: list[int],
-                 cut_edges: list[frozenset[int]], stop: tuple[int, int]) -> None:
-        self._g, self._rainbow_star, self._code = g, rainbow_star, code
-        self._cut_edges, self._stop = cut_edges, stop
+    def __init__(self, g: Graph, code: list[int], stop: tuple[int, int]) -> None:
+        self._g, self._code, self._stop = g, code, stop
 
     def __len__(self) -> int:
         s, t = self._stop
@@ -256,13 +241,10 @@ class _PairCuts(Mapping[tuple[int, int], CutCertificate]):
             settled = False
         if not settled:
             raise KeyError(pair)
-        if self._rainbow_star[t]:
-            return certificate_from_side(self._g, (v for v in range(n) if v != t))
         x = code[s] ^ code[t]
         j = (x & -x).bit_length() - 1
         mine = code[s] >> j & 1
-        side_s = frozenset(v for v in range(n) if code[v] >> j & 1 == mine)
-        return CutCertificate(self._cut_edges[j], side_s, frozenset(range(n)) - side_s)
+        return certificate_from_side(self._g, (v for v in range(n) if code[v] >> j & 1 == mine))
 
 
 @dataclass(frozen=True)
@@ -282,38 +264,49 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
     """Check that every vertex pair has a rainbow cut under c.
 
     g and c are validated once. Pairs are visited in lexicographic order and
-    the first failure is reported. Star first: when the edges at t carry
-    distinct colors (the star of t is rainbow), pair (s, t) gets the star of
-    t as its cut, with every vertex but t on the s side, and spends no nodes.
-    Every other pair is settled by partition refinement: bit j of code[v] is
-    v's side in the j-th searched cut, so the searched cuts split V into
-    classes of equal codes. A pair in two classes gets the first searched cut
-    that separates it, oriented so that s is on side_s. A pair inside one
-    class runs the bipartition search of find_rainbow_cut_exact, and the cut
-    it returns splits that class, so at most n - 1 searches run. A pair that
-    is not searched has a rainbow cut, so the first pair searched with no cut
-    is the first pair with none. The certificates are built when looked up.
+    the first failure is reported. One rule settles each pair: the
+    lowest-numbered known rainbow cut that separates it. Bit j of code[v] is
+    v's side in known cut j, and the cuts are, in order: every rainbow
+    vertex star from vertex n - 1 down (so a pair whose star at t is rainbow
+    gets that star, side_t = {t}); every bridge by edge id, side 1 away from
+    vertex 0, which a breadth-first tree from 0 crosses on the way to v;
+    then each searched cut. A pair with equal codes runs the search: the
+    first side _sides lists with s and t apart and no color twice among its
+    crossing edges, complete and within 2n * prod(|color class| + 1) nodes,
+    polynomial for a fixed number of colors. Its cut splits their class, so
+    at most n - 1 searches run, and a code has fewer than 3n bits. An
+    unsearched pair has a rainbow cut, so the first pair searched with no
+    cut is the first pair with none. Certificates are built when looked up.
     """
     g.check_coloring(c)
     g.check_connected()
-    n = g.vertex_count
-    rainbow_star = [len({c.colors[eid] for eid, _ in star}) == len(star) for star in g.adjacency]
-    code = [0] * n
-    cut_edges: list[frozenset[int]] = []
+    n, adjacency, colors = g.vertex_count, g.adjacency, c.colors
+    centers = [v for v in reversed(range(n))
+               if len({colors[eid] for eid, _ in adjacency[v]}) == len(adjacency[v])]
+    # a bridge is the first known cut only of pairs with both stars not rainbow
+    found = sorted(bridges(g)) if len(centers) < n - 1 else []
+    bridge_bit = {eid: 1 << len(centers) + i for i, eid in enumerate(found)}
+    code, order = [0] + [-1] * (n - 1), [0]  # -1 until the tree reaches v
+    for v in order:
+        for eid, w in adjacency[v]:
+            if code[w] < 0:
+                code[w] = code[v] | bridge_bit.get(eid, 0)
+                order.append(w)
+    for j, v in enumerate(centers):
+        code[v] |= 1 << j
+    bit = 1 << len(centers) + len(found)  # that of the next searched cut
     for s in range(n):
         for t in range(s + 1, n):
-            if rainbow_star[t] or code[s] != code[t]:
+            if code[s] != code[t]:
                 continue
-            cert = _rainbow_cut(g, c, s, t, node_budget)
-            if cert is None:
-                return RainbowDisconnectionCheck(
-                    False, _PairCuts(g, rainbow_star, code, cut_edges, (s, t)), (s, t))
-            bit = 1 << len(cut_edges)
-            cut_edges.append(cert.cut_edges)
-            for v in cert.side_t:
+            spend = NodeBudget(node_budget, "rainbow cut search").spend
+            side = next(_sides(g, colors, 1, s, t, spend), None)
+            if side is None:
+                return RainbowDisconnectionCheck(False, _PairCuts(g, code, (s, t)), (s, t))
+            for v in _rainbow_certificate(g, c, side).side_t:
                 code[v] |= bit
-    return RainbowDisconnectionCheck(True, _PairCuts(g, rainbow_star, code, cut_edges, (n - 1, n)),
-                                     None)
+            bit <<= 1
+    return RainbowDisconnectionCheck(True, _PairCuts(g, code, (n - 1, n)), None)
 
 
 def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeColoring | None:
@@ -377,9 +370,9 @@ def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeCo
 @dataclass(frozen=True)
 class RdResult:
     """Exact rainbow disconnection number with a witness coloring and one
-    rainbow cut certificate per vertex pair (see is_rainbow_disconnected),
-    built when looked up: the star of t when it is rainbow under the
-    witness, else one of at most n - 1 searched cuts, in the orientation
+    rainbow cut certificate per vertex pair, built when looked up: the first
+    of the witness's rainbow stars (highest center first), bridges and at
+    most n - 1 searched cuts that separates it (see is_rainbow_disconnected),
     with s on side_s."""
 
     rd_value: int

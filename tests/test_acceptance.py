@@ -1,22 +1,25 @@
-"""Acceptance gate: the eight build criteria, one pass/fail line each.
+"""Acceptance gate: the nine build criteria, one pass/fail line each.
 
 Each test prints ``criterion N (...): PASS`` or ``FAIL`` straight to the
 terminal (capture disabled for that line) and then asserts, so a plain
 pytest run shows the whole gate at a glance.
 """
 
+import itertools
 import random
 
 import pytest
 
-from rainbowdisc import (InvalidInputError, certify_rd3_coloring_proper,
-                         check_cut_certificate, chromatic_index_exact,
-                         decide_rd_cubic, extract_assignment_from_cut,
+from rainbowdisc import (CnfFormula, InvalidInputError, build_reduction,
+                         certify_rd3_coloring_proper, check_cut_certificate,
+                         chromatic_index_exact, decide_rd_cubic,
+                         extract_assignment_from_cut, find_rainbow_cut_exact,
                          find_rainbow_cut_fixed_k, gen_cnf,
                          global_edge_connectivity, gomory_hu, is_proper,
                          is_rainbow, is_rainbow_disconnected,
                          local_edge_connectivity, proper_coloring_delta_plus_one,
-                         rd_exact, upper_edge_connectivity, verify_reduction)
+                         rd_exact, solve_sat_bruteforce, upper_edge_connectivity,
+                         verify_reduction)
 from corpus import (all_connected_graphs, cubic_3ec_corpus, random_coloring,
                     random_connected_graph)
 from oracles import rainbow_cut_exists_oracle
@@ -53,12 +56,16 @@ def reduction_reports():
     return rows
 
 
-def _valid_rainbow_cut(artifact, cert) -> bool:
+def _valid_cut(g, c, cert, s, t) -> bool:
     try:
-        check_cut_certificate(artifact.graph, cert, artifact.s, artifact.t)
+        check_cut_certificate(g, cert, s, t)
     except InvalidInputError:
         return False
-    return is_rainbow(artifact.coloring, cert.cut_edges)
+    return is_rainbow(c, cert.cut_edges)
+
+
+def _valid_rainbow_cut(artifact, cert) -> bool:
+    return _valid_cut(artifact.graph, artifact.coloring, cert, artifact.s, artifact.t)
 
 
 def test_criterion_1_bound_chain(report):
@@ -191,3 +198,38 @@ def test_criterion_8_connectivity_oracles(report):
             ok = False
             break
     report(8, "gomory-hu tree equals direct max-flow; lambda at most min degree", ok)
+
+
+def test_criterion_9_rainbow_disconnection_is_the_formula(report):
+    """The paper's third result: deciding whether an edge-colored graph is
+    rainbow disconnected is NP-complete, because the encoding of a 3-CNF
+    formula f is rainbow disconnected exactly when f is satisfiable.
+
+    Only the pairs among s, t and the clause hubs need a search: every other
+    vertex has a rainbow star, which separates any pair it is in. An
+    x-vertex star holds r_j once, the literal colors r_i^k of its
+    occurrences (all distinct), and r_i^4 at most once per clause, since a
+    clause names three distinct variables. A junction star is r_i^5 and
+    r_i^4. Each pair but (s, t) is searched all the same, each cut checked,
+    and (s, t) has a cut exactly when brute force satisfies f. The pairs run
+    through find_rainbow_cut_exact, not is_rainbow_disconnected, whose
+    bipartition search of (s, t) exits on its budget.
+    """
+    formulas = [gen_cnf(3, m, seed) for m in (4, 6) for seed in range(3)]
+    formulas.append(CnfFormula(3, tuple(itertools.product((1, -1), (2, -2), (3, -3)))))
+    ok = True
+    for f in formulas:
+        artifact = build_reduction(f)
+        g, c = artifact.graph, artifact.coloring
+        # x_j^b and c_i^k: every vertex but s, t and the hubs c_i
+        starred = [v for name, v in artifact.vertex_table.items() if "^" in name]
+        ok = all(is_rainbow(c, [eid for eid, _ in g.adjacency[v]]) for v in starred)
+        for s, t in itertools.combinations(range(g.vertex_count), 2):
+            if ok and (s, t) != (artifact.s, artifact.t):
+                cert = find_rainbow_cut_exact(g, c, s, t)
+                ok = cert is not None and _valid_cut(g, c, cert, s, t)
+        st_cut = find_rainbow_cut_exact(g, c, artifact.s, artifact.t)
+        ok = ok and (st_cut is not None) == (solve_sat_bruteforce(f) is not None)
+        if not ok:
+            break
+    report(9, "an encoding is rainbow disconnected iff its formula is satisfiable", ok)

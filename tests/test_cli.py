@@ -499,12 +499,13 @@ def test_file_that_is_not_utf8_is_an_input_error(command, tmp_path, capsys):
 
 def test_long_path_rd_exact_keeps_the_exit_code_contract(tmp_path, capsys):
     # A path is a tree: every block is a bridge, so rd = 1 with no level
-    # search, and its witness check searches at most n - 1 pairs and keeps
-    # no entry per pair, so a 3000-vertex path answers in 1 GiB too. A
-    # 1201-vertex odd cycle is one block whose level 2 is searched: about
-    # n^3/6 separated pairs, so that search must end on its budget, not on
-    # time or memory, also at the default budget. The default-budget runs
-    # have 1 GiB of address space.
+    # search, and its witness check settles every pair by an end's star or
+    # a bridge, with no cut search and no entry per pair, so a 3000-vertex
+    # path answers in 1 GiB too, in about a second. A 1201-vertex odd cycle
+    # is one block whose level 2 is searched: about n^3/6 separated pairs,
+    # so that search must end on its budget, not on time or memory, also at
+    # the default budget. The default-budget runs have 1 GiB of address
+    # space.
     n = 1200
     paths = [write(tmp_path, f"path{k}.graph",
                    serialize_graph(Graph(k, tuple((i, i + 1) for i in range(k - 1)))))

@@ -9,7 +9,7 @@ import pytest
 import rainbowdisc.coloring as coloring_module
 import rainbowdisc.graphs as graphs_module
 import rainbowdisc.rainbow as rainbow_module
-from rainbowdisc.connectivity import blocks
+from rainbowdisc.connectivity import blocks, bridges
 from rainbowdisc.graphs import (CutCertificate, check_cut_certificate, check_edge_id,
                                reachable_from)
 
@@ -90,6 +90,10 @@ def assert_valid_certificates(g: Graph, c: EdgeColoring, certificates) -> None:
         assert is_rainbow(c, cert.cut_edges)
 
 
+def rainbow_star(g: Graph, c: EdgeColoring, v: int) -> bool:
+    return is_rainbow(c, [eid for eid, _ in g.adjacency[v]])
+
+
 def rd_by_level_search(g: Graph) -> int:
     """rd from _search_disconnection_coloring alone, level by level from
     lambda+ to max_degree, with no witness-first step."""
@@ -151,12 +155,11 @@ class TestSides:
 
     def test_cut_listing_matches_oracle(self):
         # one label per color with cap 1 and both ends fixed: every rainbow
-        # s-t cut's s side, the first one being the all-pairs check's search
-        # (_rainbow_cut); find_rainbow_cut_exact finds a valid cut iff one is
-        # listed. When the star of t is rainbow it meets no conflict, and t's
-        # side is the closure of {t} under adding a vertex other than s whose
-        # neighbours all lie in it, which is t and its degree-1 neighbours
-        # other than s
+        # s-t cut's s side, the first one being the all-pairs check's search;
+        # find_rainbow_cut_exact finds a valid cut iff one is listed. When
+        # the star of t is rainbow it meets no conflict, and t's side is the
+        # closure of {t} under adding a vertex other than s whose neighbours
+        # all lie in it, which is t and its degree-1 neighbours other than s
         rng = random.Random(41)
         for _ in range(300):
             g = random_connected_graph(rng, rng.randint(2, 8))
@@ -172,14 +175,12 @@ class TestSides:
                     expected.add(s_side)
             assert sorted(listed, key=sorted) == sorted(expected, key=sorted)
             assert bool(listed) == rainbow_cut_exists_oracle(g, c, s, t)
-            cert = rainbow_module._rainbow_cut(g, c, s, t, DEFAULT_NODE_BUDGET)
-            assert (cert.side_s if cert else None) == (listed[0] if listed else None)
             found = find_rainbow_cut_exact(g, c, s, t)
             assert (found is not None) == bool(listed)
             if found is not None:
                 check_cut_certificate(g, found, s, t)
                 assert is_rainbow(c, found.cut_edges)
-                if is_rainbow(c, [eid for eid, _ in g.adjacency[t]]):
+                if rainbow_star(g, c, t):
                     assert found.side_t == {t} | {w for _, w in g.adjacency[t]
                                                   if w != s and len(g.adjacency[w]) == 1}
 
@@ -399,9 +400,9 @@ class TestDisconnectionCheck:
     def test_star_first_certificates_match_pair_by_pair_search(self):
         # the verdict and failing pair are the pair-by-pair search's. A pair
         # whose star at t is rainbow takes no search; its certificate is the
-        # one _rainbow_cut gives, which lists that star first. Any other pair
-        # holds one of at most n - 1 searched cuts, each in at most two
-        # orientations.
+        # first side _sides lists for it, which is that star. Any other pair
+        # holds the star of s, a one-edge bridge cut, or one of at most
+        # n - 1 searched cuts, each in either orientation.
         rng = random.Random(23)
         graphs = [random_connected_graph(rng, rng.randint(2, 10)) for _ in range(40)]
         graphs += [relabel(random_cubic_graph(n, seed), rng)
@@ -413,39 +414,69 @@ class TestDisconnectionCheck:
                       random_coloring(rng, g.edge_count, 3)):
                 want, failing = {}, None
                 for s, t in itertools.combinations(range(n), 2):
-                    cert = rainbow_module._rainbow_cut(g, c, s, t, DEFAULT_NODE_BUDGET)
-                    if cert is None:
+                    listed = listed_sides(g, c.colors, 1, s, t)
+                    if not listed:
                         failing = (s, t)
                         break
-                    want[(s, t)] = cert
+                    want[(s, t)] = listed[0]
                 check = is_rainbow_disconnected(g, c)
                 assert (check.ok, check.failing_pair) == (failing is None, failing)
                 assert check.certificates.keys() == want.keys()
                 assert_valid_certificates(g, c, check.certificates)
                 searched = set()
                 for (s, t), cert in check.certificates.items():
-                    if is_rainbow(c, [eid for eid, _ in g.adjacency[t]]):
-                        assert cert == want[(s, t)] and cert.side_t == {t}
-                    else:
-                        searched.add(cert)
-                assert len(searched) <= 2 * (n - 1)
+                    if rainbow_star(g, c, t):
+                        assert cert.side_s == want[(s, t)] and cert.side_t == {t}
+                    elif cert.side_s != {s} and len(cert.cut_edges) > 1:
+                        searched.add(frozenset((cert.side_s, cert.side_t)))
+                assert len(searched) <= n - 1
+
+    def test_matches_first_listed_side_scan_with_bridges_and_cut_vertices(self):
+        # trees plus a few edges have bridges and cut vertices. The check
+        # answers as a scan of every pair by its first listed side, a pair
+        # whose star at t is rainbow keeps that star, and a pair that a
+        # bridge separates but neither star does gets a one-edge cut
+        rng = random.Random(29)
+        for _ in range(300):
+            g = random_connected_graph(rng, rng.randint(2, 12))
+            n, cut_by_bridge = g.vertex_count, bridges(g)
+            for c in [random_coloring(rng, g.edge_count, k) for k in (1, 2, 3, 5)] + [
+                    proper_coloring_delta_plus_one(g)]:
+                settled, failing = 0, None
+                for s, t in itertools.combinations(range(n), 2):
+                    if next(rainbow_module._sides(g, c.colors, 1, s, t, lambda: None),
+                            None) is None:
+                        failing = (s, t)
+                        break
+                    settled += 1
+                check = is_rainbow_disconnected(g, c)
+                assert (check.ok, check.failing_pair) == (failing is None, failing)
+                assert len(check.certificates) == settled
+                assert_valid_certificates(g, c, check.certificates)
+                for (s, t), cert in check.certificates.items():
+                    if rainbow_star(g, c, t):
+                        assert cert.side_t == {t}
+                    elif not rainbow_star(g, c, s) and any(
+                            t not in reachable_from(g, s, [eid]) for eid in cut_by_bridge):
+                        assert len(cert.cut_edges) == 1 and cert.cut_edges <= cut_by_bridge
 
     def test_at_most_n_minus_1_searches(self, monkeypatch):
-        # a searched pair shares a class, and its cut splits that class
+        # a searched pair shares a class, and its cut splits that class; the
+        # level search lists sides with no t, the check's searches fix t
         calls = []
-        search = rainbow_module._rainbow_cut
+        sides = rainbow_module._sides
 
-        def counting_search(g, c, s, t, node_budget):
-            calls.append((s, t))
-            return search(g, c, s, t, node_budget)
+        def counting_sides(g, labels, cap, s, t, spend):
+            if t is not None:
+                calls.append((s, t))
+            return sides(g, labels, cap, s, t, spend)
 
-        monkeypatch.setattr(rainbow_module, "_rainbow_cut", counting_search)
-        # one color on a path: pair (s, s + 1) is searched for s < 198 (the
-        # star of vertex 199 is rainbow), and its cut splits s off
+        monkeypatch.setattr(rainbow_module, "_sides", counting_sides)
+        # one color on a path: every edge is a bridge, so no pair is searched
         path = Graph(200, tuple((v, v + 1) for v in range(199)))
         check = is_rainbow_disconnected(path, mono(path))
         assert check.ok and len(check.certificates) == 19900
-        assert calls == [(s, s + 1) for s in range(198)]
+        assert calls == []
         rng = random.Random(47)
         for k in (2, 5, 9):
             g = two_hub_graph(k)
@@ -464,6 +495,16 @@ class TestDisconnectionCheck:
         assert is_rainbow_disconnected(g, c, node_budget=0).ok
         with pytest.raises(BudgetExceededError):
             find_rainbow_cut_exact(g, c, 0, 4, node_budget=0)
+        # bridges and stars of s spend none either: one color on a path or
+        # a tree, where every edge is a bridge, and a triangle whose pair
+        # (0, 2) only the star of 0 separates
+        path = Graph(200, tuple((v, v + 1) for v in range(199)))
+        trees = [random_tree(60, seed) for seed in range(3)]
+        for h in [path] + trees:
+            assert is_rainbow_disconnected(h, mono(h), node_budget=0).ok
+        triangle = Graph(3, ((0, 1), (0, 2), (1, 2)))
+        check = is_rainbow_disconnected(triangle, EdgeColoring((0, 1, 1)), node_budget=0)
+        assert check.ok and check.certificates[(0, 2)] == CutCertificate({0, 1}, {0}, {1, 2})
 
     def test_validates_connectivity_once(self, monkeypatch):
         calls = []
@@ -728,7 +769,8 @@ class TestRdExact:
         assert len(set(r.per_pair_cuts.values())) == 199
         assert peak < 5 * 2**20
         # one color on a path: no star inside it is rainbow, so its pairs hold
-        # the 198 searched one-edge cuts, each as found, and the star of 199
+        # the one-edge cuts of its 199 bridges (the star of 0 is edge 0's)
+        # and the star of 199
         path = Graph(200, tuple((v, v + 1) for v in range(199)))
         tracemalloc.start()
         try:
