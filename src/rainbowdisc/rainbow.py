@@ -263,7 +263,7 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
                             node_budget: int = DEFAULT_NODE_BUDGET) -> RainbowDisconnectionCheck:
     """Check that every vertex pair has a rainbow cut under c.
 
-    g and c are validated once. Pairs are visited in lexicographic order and
+    g and c are validated once. Pairs are settled in lexicographic order and
     the first failure is reported. One rule settles each pair: the
     lowest-numbered known rainbow cut that separates it. Bit j of code[v] is
     v's side in known cut j, and the cuts are, in order: every rainbow
@@ -274,9 +274,18 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
     first side _sides lists with s and t apart and no color twice among its
     crossing edges, complete and within 2n * prod(|color class| + 1) nodes,
     polynomial for a fixed number of colors. Its cut splits their class, so
-    at most n - 1 searches run, and a code has fewer than 3n bits. An
-    unsearched pair has a rainbow cut, so the first pair searched with no
-    cut is the first pair with none. Certificates are built when looked up.
+    at most n - 1 searches run, and a code has fewer than 3n bits.
+
+    Each round searches the least pair, in lexicographic order, whose codes
+    are equal: one pass over the codes pairs each code's first vertex with
+    its later ones and takes the minimum. When no two codes are equal, every
+    pair is settled. Codes only gain bits, so a pair whose codes are equal
+    now had equal codes at every earlier round, and every pair before it
+    already has a known cut: this is the pair a scan of all pairs in
+    lexicographic order would search next, and outside its searches the
+    check costs one O(n) pass per search. An unsearched pair has a rainbow
+    cut, so the first pair searched with no cut is the first pair with none.
+    Certificates are built when looked up.
     """
     g.check_coloring(c)
     g.check_connected()
@@ -295,18 +304,19 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
     for j, v in enumerate(centers):
         code[v] |= 1 << j
     bit = 1 << len(centers) + len(found)  # that of the next searched cut
-    for s in range(n):
-        for t in range(s + 1, n):
-            if code[s] != code[t]:
-                continue
-            spend = NodeBudget(node_budget, "rainbow cut search").spend
-            side = next(_sides(g, colors, 1, s, t, spend), None)
-            if side is None:
-                return RainbowDisconnectionCheck(False, _PairCuts(g, code, (s, t)), (s, t))
-            for v in _rainbow_certificate(g, c, side).side_t:
-                code[v] |= bit
-            bit <<= 1
-    return RainbowDisconnectionCheck(True, _PairCuts(g, code, (n - 1, n)), None)
+    while True:
+        first: dict[int, int] = {}  # each code's first vertex
+        s, t = min(((first[x], v) for v, x in enumerate(code) if first.setdefault(x, v) < v),
+                   default=(n - 1, n))
+        if t == n:
+            return RainbowDisconnectionCheck(True, _PairCuts(g, code, (s, t)), None)
+        spend = NodeBudget(node_budget, "rainbow cut search").spend
+        side = next(_sides(g, colors, 1, s, t, spend), None)
+        if side is None:
+            return RainbowDisconnectionCheck(False, _PairCuts(g, code, (s, t)), (s, t))
+        for v in _rainbow_certificate(g, c, side).side_t:
+            code[v] |= bit
+        bit <<= 1
 
 
 def _search_disconnection_coloring(g: Graph, k: int, node_budget: int) -> EdgeColoring | None:

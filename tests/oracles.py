@@ -63,6 +63,36 @@ def rainbow_disconnected_oracle(g: Graph, c: EdgeColoring) -> bool:
                for s in range(n) for t in range(s + 1, n))
 
 
+def known_cut_scan_oracle(g: Graph, c: EdgeColoring, search):
+    """The all-pairs check as a plain scan of the pairs (s, t) in
+    lexicographic order over a list of known rainbow cuts, each a vertex
+    set: the star {v} of every vertex v whose edges have distinct colors,
+    from vertex n - 1 down; then every bridge by edge id, as the vertices
+    its removal cuts off from vertex 0; then, for each pair that no known
+    cut separates, the vertex set search(s, t) returns, appended to the
+    list, or None, which ends the scan at that pair.
+
+    Returns the searched pairs in order, the side of s in the lowest known
+    cut separating each settled pair, and the failing pair (None when every
+    pair is settled)."""
+    n, everything = g.vertex_count, set(range(g.vertex_count))
+    known = [{v} for v in reversed(range(n))
+             if len({c.colors[eid] for eid, _ in g.adjacency[v]}) == len(g.adjacency[v])]
+    cut_off = (everything - reachable_from(g, 0, [eid]) for eid in range(g.edge_count))
+    known += [cut for cut in cut_off if cut]  # empty unless the edge is a bridge
+    searched, side_s = [], {}
+    for s, t in combinations(range(n), 2):
+        cut = next((cut for cut in known if (s in cut) != (t in cut)), None)
+        if cut is None:
+            searched.append((s, t))
+            cut = search(s, t)
+            if cut is None:
+                return searched, side_s, (s, t)
+            known.append(set(cut))
+        side_s[(s, t)] = cut if s in cut else everything - cut
+    return searched, side_s, None
+
+
 def rd_oracle(g: Graph, max_edges: int = 8) -> int:
     """Exact rainbow disconnection number by enumerating every coloring with
     every palette size in turn. No symmetry breaking, no pruning."""

@@ -182,6 +182,22 @@ class TestRdCheck:
         assert main(["rd-check", path, "--budget", "100000"]) == 1
         assert capsys.readouterr().out == "not rainbow disconnected: failing pair 1 2\n"
 
+    @pytest.mark.parametrize("n, closed, code, verdict, bounds", [
+        (3000, False, 0, "rainbow disconnected", "lambda=1 lambda_plus=1"),
+        (1201, True, 1, "not rainbow disconnected: failing pair 1 2", "lambda=2 lambda_plus=2"),
+    ], ids=["path3000", "cycle1201"])
+    def test_long_one_color_path_and_cycle(self, tmp_path, capsys, n, closed, code, verdict,
+                                           bounds):
+        # every edge of a path is a bridge, a known cut, so no pair is
+        # searched; a cycle has no bridge and no rainbow star, so its first
+        # pair is searched and has no rainbow cut
+        g = cycle_graph(n) if closed else Graph(n, tuple((v, v + 1) for v in range(n - 1)))
+        path = write(tmp_path, "long.graph", serialize_graph(g, EdgeColoring((0,) * g.edge_count)))
+        assert main(["rd-check", path]) == code
+        assert capsys.readouterr() == (verdict + "\n", "")
+        assert main(["bounds", path]) == 0
+        assert capsys.readouterr() == (f"{bounds} delta=2 chi_upper<=3\n", "")
+
     def test_uncolored_input_rejected(self, p3_file, capsys):
         assert main(["rd-check", p3_file]) == 3
         assert "colors required" in capsys.readouterr().err

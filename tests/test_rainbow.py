@@ -29,6 +29,7 @@ from corpus import (all_connected_graphs, bridged_cubic_pair, cubic_3ec_corpus,
                     cubic_not_3ec_graph, k33_graph, random_coloring,
                     random_connected_graph, relabel, truncate, two_hub_graph)
 from oracles import (bipartition_sides, crossing_edges, first_level_coloring_oracle,
+                     known_cut_scan_oracle,
                      rainbow_cut_exists_oracle, rainbow_disconnected_oracle, rd_oracle,
                      splitting_cut_reference)
 
@@ -459,6 +460,42 @@ class TestDisconnectionCheck:
                     elif not rainbow_star(g, c, s) and any(
                             t not in reachable_from(g, s, [eid]) for eid in cut_by_bridge):
                         assert len(cert.cut_edges) == 1 and cert.cut_edges <= cut_by_bridge
+
+    def test_searches_and_certificates_match_known_cut_scan(self, monkeypatch):
+        # the check searches the pairs that a lexicographic scan over the
+        # known cuts searches, in the scan's order, and certifies each pair
+        # by the lowest known cut separating it; a search's cut is the first
+        # side _sides lists for the pair
+        sides, searched = rainbow_module._sides, []
+
+        def recording_sides(g, labels, cap, s, t, spend):
+            if t is not None:
+                searched.append((s, t))
+            return sides(g, labels, cap, s, t, spend)
+
+        def first_side_t(g, c, s, t):
+            side = next(sides(g, c.colors, 1, s, t, lambda: None), None)
+            return None if side is None else {v for v, x in enumerate(side) if x}
+
+        monkeypatch.setattr(rainbow_module, "_sides", recording_sides)
+        rng = random.Random(53)
+        cases = []
+        for _ in range(150):
+            g = random_connected_graph(rng, rng.randint(2, 12))
+            cases += [(g, random_coloring(rng, g.edge_count, k)) for k in (1, 2, 3, 5)]
+            cases.append((g, proper_coloring_delta_plus_one(g)))
+        for n in range(4, 16, 2):
+            for seed in range(3):
+                g = random_cubic_graph(n, seed)
+                cases += [(g, random_coloring(rng, g.edge_count, k)) for k in (2, 3, 4)]
+        for g, c in cases:
+            want_searched, want_side_s, failing = known_cut_scan_oracle(
+                g, c, lambda s, t: first_side_t(g, c, s, t))
+            searched.clear()
+            check = is_rainbow_disconnected(g, c)
+            assert searched == want_searched
+            assert (check.ok, check.failing_pair) == (failing is None, failing)
+            assert {pair: cert.side_s for pair, cert in check.certificates.items()} == want_side_s
 
     def test_at_most_n_minus_1_searches(self, monkeypatch):
         # a searched pair shares a class, and its cut splits that class; the
