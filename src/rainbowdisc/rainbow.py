@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from operator import index
 
-from .coloring import chromatic_index_exact, is_proper
+from .coloring import _rainbow_stars, chromatic_index_exact, is_proper
 from .connectivity import blocks, bridges, connectivity_range, global_edge_connectivity
 from .errors import DEFAULT_NODE_BUDGET, InvalidInputError, NodeBudget
 from .graphs import (CutCertificate, EdgeColoring, Graph, _walk, certificate_from_side,
@@ -72,12 +73,8 @@ def find_rainbow_cut_fixed_k(g: Graph, c: EdgeColoring, s: int,
     for combo in itertools.product(*option_lists):
         cut = frozenset(e for e in combo if e is not None)
         side = _walk(g, s, cut, [False] * g.vertex_count)
-        if t in side:
-            continue
-        cert = certificate_from_side(g, side)
-        if not is_rainbow(c, cert.cut_edges):
-            raise RuntimeError("minimized cut lost rainbowness")
-        return cert
+        if t not in side:
+            return _rainbow_certificate(g, c, side)
     return None
 
 
@@ -137,16 +134,16 @@ def find_rainbow_cut_exact(g: Graph, c: EdgeColoring, s: int, t: int,
         clauses.append([-ys[-1], -before])
     model = solve(clauses, top, NodeBudget(node_budget, "rainbow cut search").spend,
                   branch_count=n)
-    return None if model is None else _rainbow_certificate(g, c, model[:n])
+    return None if model is None else _rainbow_certificate(
+        g, c, (v for v in range(n) if not model[v]))
 
 
-def _rainbow_certificate(g: Graph, c: EdgeColoring,
-                         side: list[int] | list[bool]) -> CutCertificate:
-    """The cut whose s side holds the vertices v with side[v] false (0 or
-    False), checked to be rainbow."""
-    cert = certificate_from_side(g, (v for v in range(g.vertex_count) if not side[v]))
+def _rainbow_certificate(g: Graph, c: EdgeColoring, side_s: Iterable[int]) -> CutCertificate:
+    """certificate_from_side(g, side_s), checked to be rainbow: every rainbow
+    cut the package builds and returns passes through here."""
+    cert = certificate_from_side(g, side_s)
     if not is_rainbow(c, cert.cut_edges):
-        raise RuntimeError("search returned a non-rainbow cut")
+        raise RuntimeError("built a cut that is not rainbow")
     return cert
 
 
@@ -219,10 +216,12 @@ class _PairCuts(Mapping[tuple[int, int], CutCertificate]):
     is built when looked up, so memory is the n codes, not one entry per
     pair. It is known cut j, the lowest bit where code[s] and code[t]
     differ: side_s holds the vertices whose bit j is that of s, and the cut
-    is its boundary."""
+    is its boundary, checked to be rainbow. s and t are read by
+    operator.index, so any integer type looks a pair up."""
 
-    def __init__(self, g: Graph, code: list[int], stop: tuple[int, int]) -> None:
-        self._g, self._code, self._stop = g, code, stop
+    def __init__(self, g: Graph, c: EdgeColoring, code: list[int],
+                 stop: tuple[int, int]) -> None:
+        self._g, self._c, self._code, self._stop = g, c, code, stop
 
     def __len__(self) -> int:
         s, t = self._stop
@@ -234,17 +233,16 @@ class _PairCuts(Mapping[tuple[int, int], CutCertificate]):
     def __getitem__(self, pair: tuple[int, int]) -> CutCertificate:
         n, code = self._g.vertex_count, self._code
         try:
-            s, t = pair
-            settled = (isinstance(s, int) and isinstance(t, int) and 0 <= s < t < n
-                       and (s, t) < self._stop)
+            s, t = map(index, pair)
         except (TypeError, ValueError):
-            settled = False
-        if not settled:
+            raise KeyError(pair) from None
+        if not (0 <= s < t < n and (s, t) < self._stop):
             raise KeyError(pair)
         x = code[s] ^ code[t]
         j = (x & -x).bit_length() - 1
         mine = code[s] >> j & 1
-        return certificate_from_side(self._g, (v for v in range(n) if code[v] >> j & 1 == mine))
+        return _rainbow_certificate(self._g, self._c,
+                                    (v for v in range(n) if code[v] >> j & 1 == mine))
 
 
 @dataclass(frozen=True)
@@ -283,15 +281,16 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
     now had equal codes at every earlier round, and every pair before it
     already has a known cut: this is the pair a scan of all pairs in
     lexicographic order would search next, and outside its searches the
-    check costs one O(n) pass per search. An unsearched pair has a rainbow
-    cut, so the first pair searched with no cut is the first pair with none.
-    Certificates are built when looked up.
+    check costs one O(n) pass per search. Every vertex before the last
+    searched s already has a code of its own, so each pass starts at that
+    s. An unsearched pair has a rainbow cut, so the first pair searched with
+    no cut is the first pair with none. Certificates are built, and checked
+    to be rainbow, when looked up.
     """
     g.check_coloring(c)
     g.check_connected()
     n, adjacency, colors = g.vertex_count, g.adjacency, c.colors
-    centers = [v for v in reversed(range(n))
-               if len({colors[eid] for eid, _ in adjacency[v]}) == len(adjacency[v])]
+    centers = _rainbow_stars(g, c)[::-1]
     # a bridge is the first known cut only of pairs with both stars not rainbow
     found = sorted(bridges(g)) if len(centers) < n - 1 else []
     bridge_bit = {eid: 1 << len(centers) + i for i, eid in enumerate(found)}
@@ -304,17 +303,18 @@ def is_rainbow_disconnected(g: Graph, c: EdgeColoring, *,
     for j, v in enumerate(centers):
         code[v] |= 1 << j
     bit = 1 << len(centers) + len(found)  # that of the next searched cut
+    s = 0
     while True:
-        first: dict[int, int] = {}  # each code's first vertex
-        s, t = min(((first[x], v) for v, x in enumerate(code) if first.setdefault(x, v) < v),
-                   default=(n - 1, n))
+        first: dict[int, int] = {}  # each code's first vertex from s on
+        s, t = min(((first[x], v) for v, x in enumerate(code[s:], s)
+                    if first.setdefault(x, v) < v), default=(n - 1, n))
         if t == n:
-            return RainbowDisconnectionCheck(True, _PairCuts(g, code, (s, t)), None)
+            return RainbowDisconnectionCheck(True, _PairCuts(g, c, code, (s, t)), None)
         spend = NodeBudget(node_budget, "rainbow cut search").spend
         side = next(_sides(g, colors, 1, s, t, spend), None)
         if side is None:
-            return RainbowDisconnectionCheck(False, _PairCuts(g, code, (s, t)), (s, t))
-        for v in _rainbow_certificate(g, c, side).side_t:
+            return RainbowDisconnectionCheck(False, _PairCuts(g, c, code, (s, t)), (s, t))
+        for v in _rainbow_certificate(g, c, (u for u in range(n) if not side[u])).side_t:
             code[v] |= bit
         bit <<= 1
 

@@ -20,9 +20,8 @@ from operator import index
 
 from .errors import DEFAULT_NODE_BUDGET, CnfFormatError, InvalidInputError, check_cap
 from .graphs import (CutCertificate, EdgeColoring, Graph, _integer, _iterate,
-                     certificate_from_side, check_cut_certificate, is_rainbow,
-                     read_dimacs)
-from .rainbow import find_rainbow_cut_exact
+                     check_cut_certificate, is_rainbow, read_dimacs)
+from .rainbow import _rainbow_certificate, find_rainbow_cut_exact
 
 MAX_BRUTEFORCE_VARIABLES = 24
 VERIFY_MAX_VARIABLES = 16
@@ -44,6 +43,7 @@ class Assignment:
         object.__setattr__(self, "values", values)
 
     def value(self, variable: int) -> bool:
+        variable = _integer(variable, "variable")
         if not (1 <= variable <= len(self.values)):
             raise InvalidInputError(f"variable {variable} out of range")
         return self.values[variable - 1]
@@ -240,10 +240,8 @@ def build_cut_from_assignment(artifact: ReductionArtifact,
                      if values[abs(lit) - 1] != (lit > 0)]
         if len(falsified) == 2:
             side.add(_c(n, i, falsified[1]))
-    cert = certificate_from_side(artifact.graph, side)
+    cert = _rainbow_certificate(artifact.graph, artifact.coloring, side)
     check_cut_certificate(artifact.graph, cert, artifact.s, artifact.t)
-    if not is_rainbow(artifact.coloring, cert.cut_edges):
-        raise RuntimeError("constructed cut is not rainbow")
     return cert
 
 

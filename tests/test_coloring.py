@@ -36,6 +36,24 @@ class TestIsProper:
         with pytest.raises(InvalidInputError):
             is_proper(star(3), EdgeColoring((1, 2)))
 
+    def test_reads_the_rainbow_stars(self):
+        # _rainbow_stars lists, ascending, the vertices whose edges carry
+        # distinct colors; a coloring is proper when that is every vertex
+        assert coloring_module._rainbow_stars(star(3), EdgeColoring((1, 1, 2))) == [1, 2, 3]
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = Graph(n, tuple(rng.sample(pairs, rng.randint(1, len(pairs)))))
+            c = EdgeColoring(tuple(rng.randrange(3) for _ in range(g.edge_count)))
+            want = [v for v in range(n)
+                    if all(c.colors[a] != c.colors[b]
+                           for a, (p, q) in enumerate(g.edges)
+                           for b, (x, y) in enumerate(g.edges)
+                           if a < b and v in (p, q) and v in (x, y))]
+            assert coloring_module._rainbow_stars(g, c) == want
+            assert is_proper(g, c) is (want == list(range(n)))
+
 
 class TestConstructiveColoring:
     def test_single_edge_one_color(self):

@@ -13,8 +13,8 @@ from rainbowdisc.connectivity import blocks, bridges
 from rainbowdisc.graphs import (CutCertificate, check_cut_certificate, check_edge_id,
                                reachable_from)
 
-from rainbowdisc import (DEFAULT_NODE_BUDGET, BudgetExceededError, CnfFormula,
-                         EdgeColoring, Graph,
+from rainbowdisc import (DEFAULT_NODE_BUDGET, Assignment, BudgetExceededError, CnfFormula,
+                         EdgeColoring, Graph, build_cut_from_assignment,
                          InvalidInputError, build_reduction, certify_rd3_coloring_proper,
                          chromatic_index_exact, decide_rd_cubic,
                          find_rainbow_cut_exact, find_rainbow_cut_fixed_k,
@@ -579,6 +579,52 @@ class TestDisconnectionCheck:
         g = Graph(3, ((0, 1),))
         with pytest.raises(InvalidInputError):
             is_rainbow_disconnected(g, EdgeColoring((1,)))
+
+    def test_certificates_looked_up_by_any_integer_type(self):
+        # ids are read by operator.index, as NumPy integers are; an int-like
+        # key equal to (0, 1) and hashing the same finds that pair
+        class IntLike:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+            def __eq__(self, other):
+                return self.value == other
+
+            def __hash__(self):
+                return hash(self.value)
+
+        g = cycle_graph(4)
+        check = is_rainbow_disconnected(g, EdgeColoring((0, 1, 0, 1)))
+        key = (IntLike(0), IntLike(1))
+        assert key == (0, 1) and hash(key) == hash((0, 1))
+        assert key in check.certificates
+        assert check.certificates[key] == check.certificates[(0, 1)]
+        assert check.certificates.get((IntLike(0), 1.0)) is None
+
+    def test_every_returned_cut_is_checked_to_be_rainbow(self, monkeypatch):
+        # each cut the package returns, built when asked for or when looked
+        # up, passes through _rainbow_certificate, which raises the one
+        # error about a non-rainbow cut; here every cut is called not rainbow
+        k4 = complete_graph(4)
+        proper = chromatic_index_exact(k4).witness
+        check = is_rainbow_disconnected(k4, proper)  # every star is rainbow: no search
+        rd = rd_exact(k4)
+        diamond = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
+        searched = EdgeColoring((0, 0, 1, 1, 2))  # the check searches pair (1, 3)
+        artifact = build_reduction(CnfFormula(3, ((1, 2, 3),)))
+        monkeypatch.setattr(rainbow_module, "is_rainbow", lambda c, cut: False)
+        calls = [lambda: find_rainbow_cut_fixed_k(k4, proper, 0, 1),
+                 lambda: find_rainbow_cut_exact(k4, proper, 0, 1),
+                 lambda: check.certificates[(0, 1)],
+                 lambda: rd.per_pair_cuts[(2, 3)],
+                 lambda: is_rainbow_disconnected(diamond, searched),
+                 lambda: build_cut_from_assignment(artifact, Assignment((True, True, True)))]
+        for call in calls:
+            with pytest.raises(RuntimeError, match="^built a cut that is not rainbow$"):
+                call()
 
 
 class TestRdExact:

@@ -81,9 +81,13 @@ class TestFormula:
     def test_assignment_value_range(self):
         a = Assignment((True, False, True))
         assert (a.value(1), a.value(2), a.value(3)) == (True, False, True)
-        for variable in (0, 4):
-            with pytest.raises(InvalidInputError,
-                               match=f"^variable {variable} out of range$"):
+        # a float or a string is the input rule's error, not a bare
+        # TypeError from tuple indexing or from comparing a string with 1
+        for variable, message in ((0, "variable 0 out of range"),
+                                  (4, "variable 4 out of range"),
+                                  (1.5, "variable 1.5 is not an integer"),
+                                  ("1", "variable '1' is not an integer")):
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
                 a.value(variable)
 
 
